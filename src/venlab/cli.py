@@ -63,9 +63,10 @@ def _context(args) -> VarContext:
 
 
 def _budget(args) -> Budget:
+    degree, basis = args.budget_degree, args.budget_basis
     return Budget(
-        max_degree=getattr(args, "budget_degree", None) or DEFAULT_BUDGET.max_degree,
-        max_basis=getattr(args, "budget_basis", None) or DEFAULT_BUDGET.max_basis,
+        max_degree=DEFAULT_BUDGET.max_degree if degree is None else degree,
+        max_basis=DEFAULT_BUDGET.max_basis if basis is None else basis,
     )
 
 
@@ -125,7 +126,10 @@ def _cmd_poly(args, rep: Reporter):
         point = {}
         for item in args.at.split(","):
             name, val = item.split("=", 1)
-            point[name.strip()] = Fraction(val.strip())
+            try:
+                point[name.strip()] = Fraction(val.strip())
+            except ZeroDivisionError:
+                raise ValueError("zero denominator in --at value %r" % val.strip())
         rep.emit("poly.eval", "pass", {"value": str(f.evaluate(point))})
     elif args.action == "compose":
         images = {}
@@ -258,6 +262,8 @@ def _cmd_venereau(args, rep: Reporter):
         })
         return
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not checks:
+        raise ValueError("--checks names no check")
     for report in vn.run_checks(spec, checks, _budget(args)):
         rep.emit_report(report)
 
@@ -269,9 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="venlab", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--json", action="store_true", help="emit JSON-lines reports")
-    top.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized batteries (reports are deterministic)")
     sub = top.add_subparsers(dest="command", required=True)
+
+    def budget_options(p):
+        p.add_argument("--budget-degree", type=int, default=None)
+        p.add_argument("--budget-basis", type=int, default=None)
 
     def common(p, coeff=True, budget=True, order=True):
         p.add_argument("--vars", required=True, help="comma-separated variable names")
@@ -282,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", default="grevlex",
                            help="monomial order: lex, grevlex or elim:<k>")
         if budget:
-            p.add_argument("--budget-degree", type=int, default=None)
-            p.add_argument("--budget-basis", type=int, default=None)
+            budget_options(p)
 
     poly = sub.add_parser("poly", help="polynomial arithmetic").add_subparsers(
         dest="action", required=True)
@@ -335,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "dixmier":
             p.add_argument("--f", required=True)
         if action == "kernel":
-            p.add_argument("--budget-degree", type=int, default=None)
-            p.add_argument("--budget-basis", type=int, default=None)
+            budget_options(p)
         p.set_defaults(func=_cmd_lnd)
 
     ven = sub.add_parser("venereau").add_subparsers(dest="action", required=True)
@@ -350,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--Q2", default=None, help="lewis family only")
         if action == "verify":
             p.add_argument("--checks", default="residual,localized,jacobian,fibers")
-            p.add_argument("--budget-degree", type=int, default=None)
-            p.add_argument("--budget-basis", type=int, default=None)
+            budget_options(p)
         p.set_defaults(func=_cmd_venereau)
 
     return top

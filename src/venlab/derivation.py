@@ -94,9 +94,6 @@ class Derivation:
             total = total + image * f.partial(name)
         return total
 
-    def apply(self, f: Polynomial) -> Polynomial:
-        return self(f)
-
     def power(self, f: Polynomial, r: int) -> Polynomial:
         """D^r(f)."""
         for _ in range(r):
@@ -176,13 +173,6 @@ def taylor_term(f: Polynomial, r: int) -> Polynomial:
     ext = shift_context(f.ctx)
     E = _shift_derivation(ext, f.ctx.fiber_names)
     return E.power(f.rename_context(ext), r)
-
-
-def taylor_operator(D: Derivation, f: Polynomial, r: int) -> Polynomial:
-    """Divided Taylor term for the free shift model attached to D's context."""
-    if f.ctx != D.ctx:
-        raise ContextMismatchError("polynomial is not in the derivation's context")
-    return taylor_term(f, r)
 
 
 def exp_shift(f: Polynomial) -> Polynomial:

@@ -8,9 +8,9 @@ polynomials; the published basis is monic over Q.
 
 Subalgebra membership f in R[g_1..g_m] uses tag-variable elimination:
 adjoin tags t_i with relations t_i - g_i (and x*x_inv - 1 when a variable
-is inverted), compute a block-elimination basis, and inspect the normal
-form of f.  The normal form doubles as an explicit witness expressing f
-in the generators.
+is inverted), compute a block-elimination basis once per generator set,
+and inspect the normal form of each target f.  The normal form doubles as
+an explicit witness expressing f in the generators.
 
 Every potentially explosive computation runs under a Budget; exhaustion
 raises BudgetExceededError (or surfaces as an 'undetermined' membership
@@ -75,7 +75,6 @@ class GroebnerBasis:
     generators: tuple
     order: MonomialOrder
     ctx: VarContext
-    reduced: bool = True
     stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
 
     def serialize(self) -> dict:
@@ -100,17 +99,7 @@ def _to_int_terms(p: Polynomial, keyf) -> dict:
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    terms = {m: int(c * den) for m, c in p.terms.items()}
-    g = 0
-    for c in terms.values():
-        g = gcd(g, c)
-    if g > 1:
-        terms = {m: c // g for m, c in terms.items()}
-    if terms:
-        lead = max(terms, key=keyf)
-        if terms[lead] < 0:
-            terms = {m: -c for m, c in terms.items()}
-    return terms
+    return _normalize_int({m: int(c * den) for m, c in p.terms.items()}, keyf)
 
 
 def _normalize_int(terms: dict, keyf) -> dict:
@@ -412,7 +401,8 @@ class MembershipResult:
     status is 'member', 'nonmember' or 'undetermined' (budget ran out).
     For members, `witness` expresses f in the tag variables (one per
     generator), the coefficient-block variables, and the inverted
-    variable's reciprocal; `expand_witness` substitutes everything back.
+    variable's reciprocal; `witness_identity_holds` substitutes everything
+    back and keeps the expanded side of the identity in `expansion`.
     """
 
     status: str
@@ -423,9 +413,18 @@ class MembershipResult:
     invert: Optional[str] = None
     stats: Optional[GroebnerStats] = None
     detail: str = ""
+    # x^k * f expanded from the witness, set once witness_identity_holds confirmed it
+    expansion: Optional[Polynomial] = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.status == "member"
+
+    @property
+    def inv_power(self) -> int:
+        """k: the top power of the inverted variable in the witness (0 if none)."""
+        if self.inv_name is None or self.witness is None or self.witness.is_zero():
+            return 0
+        return self.witness.degree(self.inv_name)
 
     def witness_identity_holds(self, f: Polynomial, gens: Sequence[Polynomial]) -> bool:
         """Re-validate the witness by pure substitution in the original ring.
@@ -433,57 +432,51 @@ class MembershipResult:
         Checks x^k * f == witness with tags replaced by the generators and
         x_inv^j replaced by x^(k-j), where k is the top x_inv power.
         """
+        self.expansion = None
         if self.status != "member" or self.witness is None:
             return False
-        ctx = f.ctx
-        wctx = self.work_ctx
-        k = 0
+        k = self.inv_power
+        witness = self.witness
+        images = dict(zip(self.tag_names, gens))
+        target = f
         if self.inv_name is not None:
-            k = self.witness.degree(self.inv_name)
-            if k == NEG_INF:
-                k = 0
-        gen_by_tag = dict(zip(self.tag_names, gens))
-        x = Polynomial.variable(ctx, self.invert) if self.invert else None
-        total = Polynomial.zero(ctx)
-        for mono, c in self.witness.terms.items():
-            part = Polynomial.constant(ctx, c)
-            for name, e in zip(wctx.names, mono):
-                if name == self.inv_name:
-                    continue
-                if e == 0:
-                    continue
-                if name in gen_by_tag:
-                    part = part * gen_by_tag[name] ** e
-                elif name in ctx:
-                    part = part * Polynomial.variable(ctx, name) ** e
-                else:
-                    return False  # an eliminated-side variable leaked through
-            if self.inv_name is not None:
-                j = mono[wctx.index(self.inv_name)]
-                part = part * x ** (k - j)
-            total = total + part
-        target = f if x is None else f * x ** k
-        return total == target
+            xi, ii = self.work_ctx.index(self.invert), self.work_ctx.index(self.inv_name)
+            terms = {}
+            for mono, c in witness.terms.items():
+                m = list(mono)
+                m[xi] += k - m[ii]
+                m[ii] = 0
+                m = tuple(m)
+                terms[m] = terms.get(m, 0) + c
+            witness = Polynomial(self.work_ctx, terms)
+            images[self.inv_name] = Polynomial.one(f.ctx)
+            target = f * Polynomial.variable(f.ctx, self.invert) ** k
+        expansion = witness.substitute(images)
+        if expansion != target:
+            return False
+        self.expansion = expansion
+        return True
 
 
-NEG_INF = float("-inf")
-
-
-def subalgebra_member(f: Polynomial, gens: Sequence[Polynomial],
-                      invert: str = None,
-                      budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
-    """Decide f in R[gens] (R = coefficient block of the context, over Q).
+def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial],
+                       invert: str = None, budget: Budget = DEFAULT_BUDGET):
+    """Decide each target in R[gens] (R = coefficient block, over Q); yield results.
 
     When `invert` names a coefficient-block variable x, membership is
     decided over R with x made invertible, via a fresh variable x_inv and
     the relation x*x_inv - 1.  Complete decision procedure by tag-variable
-    elimination; budget exhaustion yields status 'undetermined', never a
-    wrong boolean.
+    elimination.  The basis depends on `gens` and `invert` only, so it is
+    built once, when the first result is requested, and each target then
+    costs one normal form.  Budget exhaustion yields status 'undetermined'
+    (for every target when the basis itself runs out), never a wrong
+    boolean.
     """
-    ctx = f.ctx
-    for g in gens:
+    if not targets:
+        return
+    ctx = targets[0].ctx
+    for g in list(targets) + list(gens):
         if g.ctx != ctx:
-            raise ContextMismatchError("generators must share f's context")
+            raise ContextMismatchError("targets and generators must share one context")
     if invert is not None and invert not in ctx:
         raise KeyError("unknown variable %r" % invert)
     coeff = set(ctx.coeff_block)
@@ -507,21 +500,35 @@ def subalgebra_member(f: Polynomial, gens: Sequence[Polynomial],
 
     try:
         gb = buchberger(relations, order, budget)
-        nf = normal_form(f.rename_context(work_ctx), gb, budget)
     except BudgetExceededError as exc:
-        return MembershipResult("undetermined", detail=str(exc))
+        for _ in targets:
+            yield MembershipResult("undetermined", detail=str(exc))
+        return
 
     elim_set = set(elim)
-    leaked = nf.variables_used() & elim_set
-    status = "nonmember" if leaked else "member"
-    return MembershipResult(
-        status=status,
-        witness=nf if status == "member" else None,
-        work_ctx=work_ctx,
-        tag_names=tags,
-        inv_name=inv_name,
-        invert=invert,
-        stats=gb.stats,
-        detail="" if status == "member" else
-        "normal form still involves %s" % sorted(leaked),
-    )
+    for f in targets:
+        try:
+            nf = normal_form(f.rename_context(work_ctx), gb, budget)
+        except BudgetExceededError as exc:
+            yield MembershipResult("undetermined", detail=str(exc))
+            continue
+        leaked = nf.variables_used() & elim_set
+        status = "nonmember" if leaked else "member"
+        yield MembershipResult(
+            status=status,
+            witness=nf if status == "member" else None,
+            work_ctx=work_ctx,
+            tag_names=tags,
+            inv_name=inv_name,
+            invert=invert,
+            stats=gb.stats,
+            detail="" if status == "member" else
+            "normal form still involves %s" % sorted(leaked),
+        )
+
+
+def subalgebra_member(f: Polynomial, gens: Sequence[Polynomial],
+                      invert: str = None,
+                      budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
+    """Decide f in R[gens]: the one-target case of `subalgebra_members`."""
+    return next(subalgebra_members([f], gens, invert, budget))

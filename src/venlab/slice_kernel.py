@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .derivation import Derivation, Slice, dixmier_projection
-from .groebner import Budget, DEFAULT_BUDGET, subalgebra_member
+from .groebner import Budget, DEFAULT_BUDGET, subalgebra_members
 from .parse import format_polynomial
 from .poly import Polynomial, jacobian_matrix, matrix_det
 
@@ -80,9 +80,9 @@ def kernel_from_slice(D: Derivation, s, budget: Budget = DEFAULT_BUDGET) -> Slic
     gen_labels = ["pi(%s)" % n for n in projected] + ["s"]
     verdict = "pass"
     witnesses = {}
-    for name in ctx.fiber_names:
-        target = Polynomial.variable(ctx, name)
-        result = subalgebra_member(target, gens, budget=budget)
+    targets = [Polynomial.variable(ctx, name) for name in ctx.fiber_names]
+    results = subalgebra_members(targets, gens, budget=budget)
+    for name, target, result in zip(ctx.fiber_names, targets, results):
         if result.status == "undetermined":
             verdict = "undetermined"
             witnesses[name] = {"status": "undetermined", "detail": result.detail}
@@ -124,9 +124,9 @@ def certify_polynomial_ring(result: SliceKernelResult,
                 continue
             ok = True
             witness_info = {}
-            for n in rest:
-                target = result.kernel_generators[n]
-                member = subalgebra_member(target, [gi, gj], budget=budget)
+            targets = [result.kernel_generators[n] for n in rest]
+            members = subalgebra_members(targets, [gi, gj], budget=budget)
+            for n, target, member in zip(rest, targets, members):
                 if member.status == "undetermined":
                     ok = False
                     break

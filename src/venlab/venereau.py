@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groebner import Budget, MembershipResult, subalgebra_member
+from .groebner import Budget, MembershipResult, subalgebra_members
 from .parse import format_polynomial, parse_polynomial
 from .poly import Polynomial, VarContext, jacobian_det
 
@@ -211,18 +211,17 @@ def check_residual(spec: VenereauSpec) -> CheckReport:
 def check_localized(spec: VenereauSpec, budget: Budget = LOCALIZED_BUDGET) -> CheckReport:
     """Pass iff y, z, u all lie in Q[x]_x[h, v, w], with re-validated witnesses."""
     gens = [spec.h, spec.v, spec.w]
+    names = ("y", "z", "u")
+    targets = [Polynomial.variable(spec.ctx, name) for name in names]
     witnesses = {}
     stats = {}
     data = {}
-    for name in ("y", "z", "u"):
-        target = Polynomial.variable(spec.ctx, name)
-        result = subalgebra_member(target, gens, invert="x", budget=budget)
+    results = subalgebra_members(targets, gens, invert="x", budget=budget)
+    for name, target, result in zip(names, targets, results):
         stats[name] = _membership_stats(result)
-        if result.status == "undetermined":
-            return CheckReport("localized", "undetermined", witnesses=witnesses,
-                               stats=stats | {"detail": result.detail})
         if result.status != "member":
-            return CheckReport("localized", "fail", witnesses=witnesses,
+            verdict = "undetermined" if result.status == "undetermined" else "fail"
+            return CheckReport("localized", verdict, witnesses=witnesses,
                                stats=stats | {"detail": result.detail})
         if not result.witness_identity_holds(target, gens):
             return CheckReport("localized", "fail", witnesses=witnesses, stats=stats | {
@@ -274,8 +273,10 @@ def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
     c = 0: the fiber ring Q[y,z,u]/(h(0,y,z,u) - d) is a polynomial ring
     because h(0) = y exactly (the residual identity); verified directly.
     c != 0: the fiber is the coordinate plane in (v, w); this is a
-    corollary of the localized identity, re-validated by substituting
-    x = c into the membership witnesses.  An undetermined localized check
+    corollary of the localized identities x^k * t = E(x, h, v, w) for
+    t = y, z, u.  Each sample specialises the expansions E that the
+    localized check already compared at x = c and confirms E(c) = c^k * t,
+    so no sample re-expands a witness.  An undetermined localized check
     propagates to every c != 0 sample.
     """
     if localized is None:
@@ -321,35 +322,16 @@ def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
 
 
 def _fiber_witnesses_hold(spec: VenereauSpec, localized: CheckReport, c: Fraction) -> bool:
-    """Evaluate the localized witnesses at x = c and confirm they still
-    reproduce y, z, u inside Q[y,z,u]."""
-    fctx = VarContext(["y", "z", "u"])
+    """Specialise each localized identity x^k * t = E at x = c and confirm
+    that E(c) reproduces c^k * t, for t = y, z, u."""
     cpoly = Polynomial.constant(spec.ctx, c)
-    gen_names = dict(zip(("h", "v", "w"), (spec.h, spec.v, spec.w)))
-    gens_at_c = {n: g.substitute({"x": cpoly}).rename_context(fctx)
-                 for n, g in gen_names.items()}
-    for target_name in ("y", "z", "u"):
-        result = localized.data[target_name]
-        witness = result.witness
-        wctx = result.work_ctx
-        tag_to_gen = dict(zip(result.tag_names, ("h", "v", "w")))
-        total = Polynomial.zero(fctx)
-        for mono, coeff in witness.terms.items():
-            part = Polynomial.constant(fctx, coeff)
-            scalar = Fraction(1)
-            for name, e in zip(wctx.names, mono):
-                if not e:
-                    continue
-                if name == "x":
-                    scalar *= c ** e
-                elif name == result.inv_name:
-                    scalar *= Fraction(1) / c ** e
-                elif name in tag_to_gen:
-                    part = part * gens_at_c[tag_to_gen[name]] ** e
-                else:
-                    return False
-            total = total + part * scalar
-        if total != Polynomial.variable(fctx, target_name):
+    gens = [spec.h, spec.v, spec.w]
+    for name in ("y", "z", "u"):
+        result = localized.data[name]
+        target = Polynomial.variable(spec.ctx, name)
+        if result.expansion is None and not result.witness_identity_holds(target, gens):
+            return False
+        if result.expansion.substitute({"x": cpoly}) != target * c ** result.inv_power:
             return False
     return True
 

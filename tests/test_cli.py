@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, report format, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from venlab.cli import main
+from venlab.cli import build_parser, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -44,6 +50,19 @@ def test_poly_eval(capsys):
     assert code == 0
     (rec,) = json_lines(out)
     assert rec["witnesses"]["value"] == "2"
+
+
+def test_poly_eval_zero_denominator_is_usage_error():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "venlab.cli", "poly", "eval", "--vars", "x",
+         "--at", "x=1/0", "x"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("venlab: error:")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_poly_compose(capsys):
@@ -192,6 +211,59 @@ def test_venereau_verify_custom_spec(capsys):
     assert all(r["verdict"] == "pass" for r in recs)
 
 
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_venereau_empty_check_list_is_usage_error(capsys, checks):
+    code, out, err = run(capsys, "venereau", "verify", "--family", "venereau",
+                         "--n", "1", "--checks", checks)
+    assert code == 3
+    assert out == ""
+    assert "no check" in err
+
+
+#: Byte-pinned reports of the budget-starved v1 verify (--budget-degree 4).
+STARVED_V1_JSON = (
+    '{"check": "residual", "schema": 1, "stats": {}, "verdict": "pass", '
+    '"witnesses": {"quotient_of_h_minus_y_by_x": "y*z^2 + y^2*u + x*z"}}\n'
+    '{"check": "localized", "schema": 1, "stats": {"detail": "input generator '
+    'exceeds degree cap", "y": {}}, "verdict": "undetermined", "witnesses": {}}\n'
+    '{"check": "jacobian", "schema": 1, "stats": {}, "verdict": "pass", '
+    '"witnesses": {"c": "1", "determinant": "x^3", "m": 3}}\n'
+    '{"check": "fibers", "schema": 1, "stats": {"samples": 8}, "verdict": "undetermined", '
+    '"witnesses": {'
+    '"(-1,0)": {"detail": "localized identity undetermined", "regime": "localized", '
+    '"verdict": "undetermined"}, '
+    '"(-1,1)": {"detail": "localized identity undetermined", "regime": "localized", '
+    '"verdict": "undetermined"}, '
+    '"(0,0)": {"fiber_ring": "Q[z,u] after eliminating y", "regime": "residual", '
+    '"verdict": "pass"}, '
+    '"(0,1)": {"fiber_ring": "Q[z,u] after eliminating y", "regime": "residual", '
+    '"verdict": "pass"}, '
+    '"(1,0)": {"detail": "localized identity undetermined", "regime": "localized", '
+    '"verdict": "undetermined"}, '
+    '"(1,1)": {"detail": "localized identity undetermined", "regime": "localized", '
+    '"verdict": "undetermined"}, '
+    '"(2,0)": {"detail": "localized identity undetermined", "regime": "localized", '
+    '"verdict": "undetermined"}, '
+    '"(2,1)": {"detail": "localized identity undetermined", "regime": "localized", '
+    '"verdict": "undetermined"}}}\n'
+)
+
+STARVED_V1_TEXT = ("residual: pass  y*z^2 + y^2*u + x*z\n"
+                   "localized: undetermined\n"
+                   "jacobian: pass\n"
+                   "fibers: undetermined\n")
+
+
+@pytest.mark.parametrize("mode,expected", [("--json", STARVED_V1_JSON),
+                                           (None, STARVED_V1_TEXT)], ids=["json", "text"])
+def test_venereau_verify_budget_starved_bytes(capsys, mode, expected):
+    argv = ["venereau", "verify", "--family", "venereau", "--n", "1",
+            "--budget-degree", "4"]
+    code, out, _ = run(capsys, *([mode] if mode else []), *argv)
+    assert code == 2
+    assert out == expected
+
+
 def test_venereau_missing_q_usage_error(capsys):
     code, _, err = run(capsys, "venereau", "build")
     assert code == 3
@@ -227,3 +299,41 @@ def test_text_mode_one_line_per_check(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("residual: pass")
     assert lines[1].startswith("jacobian: pass")
+
+
+# ---------------------------------------------------------------------------
+# budget options
+
+#: One call per subcommand taking --budget-degree/--budget-basis; <D> is
+#: the derivation file.
+BUDGET_COMMANDS = {
+    "groebner basis": ["groebner", "basis", "--vars", "x,y", "x y - 1"],
+    "member ideal": ["member", "ideal", "--vars", "x", "--f", "x", "--gens", "x"],
+    "member subalgebra": ["member", "subalgebra", "--vars", "z", "--f", "z^5",
+                          "--gens", "z^2,z^3"],
+    "lnd kernel": ["lnd", "kernel", "--derivation", "<D>", "--slice", "z"],
+    "venereau verify": ["venereau", "verify", "--family", "venereau", "--n", "1"],
+}
+
+
+def _subcommands_with_budget(parser, prefix=()):
+    for action in parser._actions:
+        if "--budget-degree" in action.option_strings:
+            yield " ".join(prefix)
+        if action.choices and hasattr(action.choices, "items"):
+            for name, sub in action.choices.items():
+                yield from _subcommands_with_budget(sub, prefix + (name,))
+
+
+def test_budget_commands_cover_every_subcommand():
+    assert sorted(_subcommands_with_budget(build_parser())) == sorted(BUDGET_COMMANDS)
+
+
+@pytest.mark.parametrize("option", ["--budget-degree", "--budget-basis"])
+@pytest.mark.parametrize("command", sorted(BUDGET_COMMANDS))
+def test_zero_budget_is_usage_error(capsys, dfile, command, option):
+    argv = [dfile if a == "<D>" else a for a in BUDGET_COMMANDS[command]]
+    code, out, err = run(capsys, *argv, option, "0")
+    assert code == 3
+    assert out == ""
+    assert "budget caps must be positive" in err

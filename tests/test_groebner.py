@@ -11,6 +11,7 @@ from venlab.groebner import (
     ideal_member,
     normal_form,
     subalgebra_member,
+    subalgebra_members,
 )
 from venlab.parse import parse_polynomial
 from venlab.poly import MonomialOrder, Polynomial, VarContext
@@ -220,6 +221,31 @@ def test_subalgebra_witness_validates_on_random_instances():
         result = subalgebra_member(f, [g1, g2])
         assert result.status == "member"
         assert result.witness_identity_holds(f, [g1, g2])
+
+
+@pytest.mark.parametrize("invert", [None, "x"])
+def test_shared_basis_matches_per_target_membership(invert):
+    # one basis for all targets decides exactly as one basis per target,
+    # also when the budget runs out in a normal form or in the basis
+    ctx = VarContext(["x", "y", "z"], coeff_block=["x"])
+    seen = set()
+    for budget in (Budget(), Budget(max_reductions=3), Budget(max_degree=2)):
+        rng = random.Random(11)
+        for _ in range(8):
+            gens = [random_polynomial(rng, ctx, 2, max_terms=2, allow_zero=False)
+                    for _ in range(2)]
+            targets = [Polynomial.variable(ctx, "y"), Polynomial.variable(ctx, "z"),
+                       gens[0] * gens[1] + 1, random_polynomial(rng, ctx, 2)]
+            shared = list(subalgebra_members(targets, gens, invert=invert, budget=budget))
+            assert len(shared) == len(targets)
+            for f, got in zip(targets, shared):
+                alone = subalgebra_member(f, gens, invert=invert, budget=budget)
+                assert (got.status, got.witness, got.stats, got.detail) == (
+                    alone.status, alone.witness, alone.stats, alone.detail)
+                if got:
+                    assert got.witness_identity_holds(f, gens)
+                seen.add(got.status)
+    assert seen == {"member", "nonmember", "undetermined"}
 
 
 # ---------------------------------------------------------------------------

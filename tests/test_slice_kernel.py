@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from venlab import groebner
 from venlab.derivation import Derivation, InvalidSliceError, dixmier_projection, exp_automorphism
 from venlab.groebner import Budget
 from venlab.parse import parse_polynomial
@@ -55,6 +56,23 @@ def test_triangular_with_parameter():
     result = check_stably_free_shadow(certify_polynomial_ring(result))
     assert result.pair_verdict == "pass"
     assert result.stably_free_verdict == "pass"
+
+
+def test_kernel_from_slice_builds_one_basis(monkeypatch):
+    # every fiber variable is tested against the same generators
+    D, s = random_triangular_slice_instance(random.Random(3))
+    D.certify_nilpotent()
+    calls = []
+    real = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    result = kernel_from_slice(D, s)
+    assert result.generation_verdict == "pass"
+    assert len(calls) == 1
 
 
 def test_invalid_slice_rejected():

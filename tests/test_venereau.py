@@ -2,6 +2,7 @@
 
 import pytest
 
+from venlab import groebner
 from venlab.groebner import Budget
 from venlab.parse import parse_polynomial
 from venlab.poly import Polynomial, VarContext
@@ -110,6 +111,32 @@ def test_localized_pass_with_witnesses():
         assert report.witnesses[name]["inverted"] == "x"
         assert report.data[name].witness_identity_holds(
             Polynomial.variable(MAIN_CONTEXT, name), [spec.h, spec.v, spec.w])
+
+
+def test_localized_builds_one_basis(monkeypatch):
+    # y, z and u share the generators (h, v, w), hence one Groebner basis
+    calls = []
+    real = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    report = check_localized(family("venereau", 1))
+    assert report.verdict == "pass"
+    assert len(calls) == 1
+
+
+def test_fibers_specialise_the_localized_identities():
+    spec = family("venereau", 2)
+    localized = check_localized(spec)
+    x = Polynomial.variable(MAIN_CONTEXT, "x")
+    for name in ("y", "z", "u"):
+        result = localized.data[name]
+        assert result.expansion == Polynomial.variable(MAIN_CONTEXT, name) * x ** result.inv_power
+    report = check_fibers(spec, samples=[(1, 0), (-1, 1), (3, 2)], localized=localized)
+    assert report.verdict == "pass"
 
 
 def test_localized_negative_control():
