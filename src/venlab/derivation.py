@@ -28,6 +28,10 @@ SHIFT_PREFIX = "_e_"
 #: Default iteration cap for nilpotency certification.
 DEFAULT_NILPOTENCY_CAP = 64
 
+#: Most terms an exponential-type series (exp shift, exp automorphism,
+#: Dixmier projection) may take before it is abandoned.
+MAX_SERIES_TERMS = 10_000
+
 
 class InvalidSliceError(ValueError):
     """The proposed slice s does not satisfy D(s) = 1."""
@@ -128,10 +132,6 @@ class Derivation:
         self._certificate = cert
         return cert
 
-    @property
-    def certificate(self):
-        return self._certificate
-
     def _require_certificate(self) -> NilpotencyCertificate:
         cert = self._certificate
         if cert is None:
@@ -175,6 +175,22 @@ def taylor_term(f: Polynomial, r: int) -> Polynomial:
     return E.power(f.rename_context(ext), r)
 
 
+def _exp_series(D: Derivation, a: Polynomial, f: Polynomial) -> Polynomial:
+    """sum_r a^r D^r(f) / r!, finite when D kills f after finitely many steps."""
+    total = Polynomial.zero(f.ctx)
+    apow = Polynomial.one(f.ctx)
+    r = 0
+    while not f.is_zero():
+        if r > MAX_SERIES_TERMS:
+            raise NotCertifiedError("exponential series did not terminate within %d terms"
+                                    % MAX_SERIES_TERMS)
+        total = total + apow * f / factorial(r)
+        f = D(f)
+        apow = apow * a
+        r += 1
+    return total
+
+
 def exp_shift(f: Polynomial) -> Polynomial:
     """sum_r taylor_term(f, r) / r!  ==  f(t1 + e1, ..., tn + en), exactly.
 
@@ -183,14 +199,7 @@ def exp_shift(f: Polynomial) -> Polynomial:
     """
     ext = shift_context(f.ctx)
     E = _shift_derivation(ext, f.ctx.fiber_names)
-    g = f.rename_context(ext)
-    total = Polynomial.zero(ext)
-    r = 0
-    while not g.is_zero():
-        total = total + g / factorial(r)
-        g = E(g)
-        r += 1
-    return total
+    return _exp_series(E, Polynomial.one(ext), f.rename_context(ext))
 
 
 def exp_automorphism(D: Derivation, t: Polynomial) -> PolyMap:
@@ -205,18 +214,7 @@ def exp_automorphism(D: Derivation, t: Polynomial) -> PolyMap:
     if not D.is_kernel_element(t):
         raise KernelMembershipError("exp parameter must lie in Ker D: D(%s) != 0" % t)
     ctx = D.ctx
-    images = {}
-    for name in ctx.names:
-        g = Polynomial.variable(ctx, name)
-        total = Polynomial.zero(ctx)
-        r = 0
-        tpow = Polynomial.one(ctx)
-        while not g.is_zero():
-            total = total + tpow * g / factorial(r)
-            g = D(g)
-            tpow = tpow * t
-            r += 1
-        images[name] = total
+    images = {name: _exp_series(D, t, Polynomial.variable(ctx, name)) for name in ctx.names}
     return PolyMap(ctx, ctx, images)
 
 
@@ -238,8 +236,7 @@ class Slice:
         return cls(s)
 
 
-def dixmier_projection(D: Derivation, s, f: Polynomial,
-                       max_iterations: int = 10_000) -> Polynomial:
+def dixmier_projection(D: Derivation, s, f: Polynomial) -> Polynomial:
     """pi(f) = sum_r (-s)^r D^r(f) / r!, the retraction onto Ker D given a slice.
 
     pi is a ring homomorphism fixing Ker D pointwise, with pi(s) = 0 and
@@ -251,20 +248,7 @@ def dixmier_projection(D: Derivation, s, f: Polynomial,
     D._require_certificate()
     if f.ctx != D.ctx:
         raise ContextMismatchError("polynomial is not in the derivation's context")
-    ctx = D.ctx
-    total = Polynomial.zero(ctx)
-    g = f
-    spow = Polynomial.one(ctx)
-    r = 0
-    while not g.is_zero():
-        if r > max_iterations:
-            raise NotCertifiedError("Dixmier series did not terminate within %d terms"
-                                    % max_iterations)
-        total = total + spow * g / factorial(r)
-        g = D(g)
-        spow = spow * (-sl)
-        r += 1
-    return total
+    return _exp_series(D, -sl, f)
 
 
 def parse_derivation(text: str, ctx: VarContext = None) -> Derivation:

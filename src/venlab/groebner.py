@@ -94,12 +94,17 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 # fraction-free integer core
 
-def _to_int_terms(p: Polynomial, keyf) -> dict:
-    """Content-normalized integer term dict with positive leading coefficient."""
+def _clear_denominators(p: Polynomial):
+    """(integer term dict, den) with den * p equal to those terms."""
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    return _normalize_int({m: int(c * den) for m, c in p.terms.items()}, keyf)
+    return {m: int(c * den) for m, c in p.terms.items()}, den
+
+
+def _to_int_terms(p: Polynomial, keyf) -> dict:
+    """Content-normalized integer term dict with positive leading coefficient."""
+    return _normalize_int(_clear_denominators(p)[0], keyf)
 
 
 def _normalize_int(terms: dict, keyf) -> dict:
@@ -116,15 +121,18 @@ def _normalize_int(terms: dict, keyf) -> dict:
     return terms
 
 
-def _reduce_int(work: dict, basis: list, keyf, budget: Budget, stats: GroebnerStats) -> dict:
+def _reduce_int(work: dict, basis: list, keyf, budget: Budget, stats: GroebnerStats):
     """Full normal form of an integer polynomial modulo `basis`, fraction-free.
 
-    `basis` entries are (lead_mono, lead_coeff, terms).  The result is
-    content-normalized.  Only the remainder is returned; cofactors are
-    not tracked.
+    `basis` entries are (lead_mono, lead_coeff, terms).  Returns
+    (remainder, scale) with scale * work == remainder modulo the basis and
+    scale a positive integer; cofactors are not tracked.  Every step counts
+    against `budget.max_reductions` and every product term against
+    `budget.max_degree`.
     """
     work = dict(work)
     rem: dict = {}
+    scale = 1
     while work:
         m = max(work, key=keyf)
         c = work.pop(m)
@@ -149,6 +157,7 @@ def _reduce_int(work: dict, basis: list, keyf, budget: Budget, stats: GroebnerSt
         if a < 0:
             a, b = -a, -b
         if a != 1:
+            scale *= a
             for k in work:
                 work[k] *= a
             for k in rem:
@@ -164,7 +173,7 @@ def _reduce_int(work: dict, basis: list, keyf, budget: Budget, stats: GroebnerSt
                 work[mm] = s
             else:
                 work.pop(mm, None)
-    return _normalize_int(rem, keyf)
+    return rem, scale
 
 
 def _spoly_int(f, g, keyf, budget: Budget) -> dict:
@@ -216,7 +225,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
             continue
         if max(mono_deg(m) for m in terms) > budget.max_degree:
             raise BudgetExceededError("input generator exceeds degree cap")
-        terms = _reduce_int(terms, basis, keyf, budget, stats)
+        terms = _normalize_int(_reduce_int(terms, basis, keyf, budget, stats)[0], keyf)
         if terms:
             lead = max(terms, key=keyf)
             basis.append((lead, terms[lead], terms))
@@ -256,7 +265,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
             continue
         stats.pairs_processed += 1
         s = _spoly_int(fi, fj, keyf, budget)
-        s = _reduce_int(s, [b for b in basis if b is not None], keyf, budget, stats)
+        live = [b for b in basis if b is not None]
+        s = _normalize_int(_reduce_int(s, live, keyf, budget, stats)[0], keyf)
         if not s:
             continue
         lead = max(s, key=keyf)
@@ -303,7 +313,7 @@ def _interreduce(basis: list, keyf, budget: Budget, stats: GroebnerStats) -> lis
                     continue
                 lead = max(terms, key=keyf)
                 others.append((lead, terms[lead], terms))
-            red = _reduce_int(current[i], others, keyf, budget, stats)
+            red = _normalize_int(_reduce_int(current[i], others, keyf, budget, stats)[0], keyf)
             if red != current[i]:
                 current[i] = red
                 changed = True
@@ -332,7 +342,10 @@ def normal_form(f: Polynomial, gb: GroebnerBasis,
                 budget: Budget = DEFAULT_BUDGET) -> Polynomial:
     """Remainder of multivariate division of f by the basis.
 
-    Zero iff f lies in the ideal; idempotent and Q-linear in f.
+    Zero iff f lies in the ideal; idempotent and Q-linear in f.  The
+    reduction runs fraction-free on den * f under the same caps as
+    `buchberger`, with its own step count so that `gb.stats` describes
+    the basis alone; the remainder is unique because the basis is reduced.
     """
     if f.ctx != gb.ctx:
         raise ContextMismatchError("polynomial and basis contexts differ")
@@ -344,46 +357,9 @@ def normal_form(f: Polynomial, gb: GroebnerBasis,
         terms = _to_int_terms(g, keyf)
         lead = max(terms, key=keyf)
         entries.append((lead, terms[lead], terms))
-    return _divide_rational(f, entries, keyf, budget)
-
-
-def _divide_rational(f: Polynomial, entries, keyf, budget) -> Polynomial:
-    """Full multivariate division of f by the (monicized) basis over Q."""
-    ctx = f.ctx
-    monic = []
-    for lead, lc, terms in entries:
-        monic.append((lead, {m: Fraction(c, lc) for m, c in terms.items()}))
-    work = dict(f.terms)
-    out = {}
-    steps = 0
-    while work:
-        m = max(work, key=keyf)
-        c = work.pop(m)
-        if c == 0:
-            continue
-        hit = None
-        for lead, terms in monic:
-            if mono_divides(lead, m):
-                hit = (lead, terms)
-                break
-        if hit is None:
-            out[m] = c
-            continue
-        steps += 1
-        if steps > budget.max_reductions:
-            raise BudgetExceededError("reduction step cap exceeded")
-        lead, terms = hit
-        q = mono_div(m, lead)
-        for tm, tc in terms.items():
-            if tm == lead:
-                continue
-            mm = mono_mul(tm, q)
-            s = work.get(mm, 0) - c * tc
-            if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
-    return Polynomial(ctx, out)
+    work, den = _clear_denominators(f)
+    rem, scale = _reduce_int(work, entries, keyf, budget, GroebnerStats())
+    return Polynomial(f.ctx, {m: Fraction(c, scale * den) for m, c in rem.items()})
 
 
 def ideal_member(f: Polynomial, gens: Sequence[Polynomial],
@@ -398,11 +374,12 @@ def ideal_member(f: Polynomial, gens: Sequence[Polynomial],
 class MembershipResult:
     """Outcome of a subalgebra membership test.
 
-    status is 'member', 'nonmember' or 'undetermined' (budget ran out).
-    For members, `witness` expresses f in the tag variables (one per
-    generator), the coefficient-block variables, and the inverted
-    variable's reciprocal; `witness_identity_holds` substitutes everything
-    back and keeps the expanded side of the identity in `expansion`.
+    status is 'member', 'nonmember' or 'undetermined' (budget ran out, or
+    the witness failed its re-check).  For members, `witness` expresses f
+    in the tag variables (one per generator), the coefficient-block
+    variables, and the inverted variable's reciprocal; it has already
+    passed `witness_identity_holds`, which substitutes everything back and
+    keeps the expanded side of the identity in `expansion`.
     """
 
     status: str
@@ -467,9 +444,10 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
     the relation x*x_inv - 1.  Complete decision procedure by tag-variable
     elimination.  The basis depends on `gens` and `invert` only, so it is
     built once, when the first result is requested, and each target then
-    costs one normal form.  Budget exhaustion yields status 'undetermined'
-    (for every target when the basis itself runs out), never a wrong
-    boolean.
+    costs one normal form and one re-check of its witness by
+    `witness_identity_holds`.  Budget exhaustion yields status
+    'undetermined' (for every target when the basis itself runs out), as
+    does a witness that fails its re-check; never a wrong boolean.
     """
     if not targets:
         return
@@ -514,7 +492,7 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
             continue
         leaked = nf.variables_used() & elim_set
         status = "nonmember" if leaked else "member"
-        yield MembershipResult(
+        result = MembershipResult(
             status=status,
             witness=nf if status == "member" else None,
             work_ctx=work_ctx,
@@ -525,6 +503,11 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
             detail="" if status == "member" else
             "normal form still involves %s" % sorted(leaked),
         )
+        if status == "member" and not result.witness_identity_holds(f, gens):
+            # a bad witness disproves nothing
+            result = MembershipResult("undetermined", stats=gb.stats,
+                                      detail="witness failed re-substitution")
+        yield result
 
 
 def subalgebra_member(f: Polynomial, gens: Sequence[Polynomial],

@@ -12,7 +12,8 @@ inputs like ``y + x^2*(x*z + y*(y*u + z^2))`` parse directly.
 
 Identifiers starting with the reserved prefix ``_`` are rejected: that
 namespace belongs to internally generated variables (shift variables,
-membership tags, inverted copies).
+membership tags, inverted copies).  So are exponents above
+``EXPONENT_LIMIT`` and parentheses nested deeper than ``MAX_NESTING``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import GREVLEX, MonomialOrder, Polynomial, RESERVED_PREFIX, VarContext
+from .poly import EXPONENT_LIMIT, GREVLEX, MonomialOrder, Polynomial, RESERVED_PREFIX, VarContext
+
+#: Deepest parenthesis nesting accepted.  Each level costs three frames
+#: of the recursive descent, so this stays well inside Python's recursion
+#: limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -62,6 +68,7 @@ class _Parser:
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def error(self, message: str):
         pos = self.tokens[self.i][2]
@@ -112,11 +119,15 @@ class _Parser:
         if kind == "ident":
             return self.factor()
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                self.error("parentheses nested deeper than %d" % MAX_NESTING)
             self.next()
+            self.depth += 1
             inner = self.expr()
             if self.peek()[:2] != ("op", ")"):
                 self.error("expected ')'")
             self.next()
+            self.depth -= 1
             return inner
         self.error("expected a coefficient, variable or '('")
 
@@ -145,6 +156,8 @@ class _Parser:
             self.next()
             if self.peek()[0] != "int":
                 self.error("expected an exponent")
+            if int(self.peek()[1]) > EXPONENT_LIMIT:
+                self.error("exponent exceeds %d" % EXPONENT_LIMIT)
             return p ** int(self.next()[1])
         return p
 

@@ -217,15 +217,12 @@ def check_localized(spec: VenereauSpec, budget: Budget = LOCALIZED_BUDGET) -> Ch
     stats = {}
     data = {}
     results = subalgebra_members(targets, gens, invert="x", budget=budget)
-    for name, target, result in zip(names, targets, results):
+    for name, result in zip(names, results):
         stats[name] = _membership_stats(result)
         if result.status != "member":
             verdict = "undetermined" if result.status == "undetermined" else "fail"
             return CheckReport("localized", verdict, witnesses=witnesses,
                                stats=stats | {"detail": result.detail})
-        if not result.witness_identity_holds(target, gens):
-            return CheckReport("localized", "fail", witnesses=witnesses, stats=stats | {
-                "detail": "witness for %s failed re-substitution" % name})
         witnesses[name] = _witness_payload(result)
         data[name] = result
     return CheckReport("localized", "pass", witnesses=witnesses, stats=stats, data=data)
@@ -325,12 +322,9 @@ def _fiber_witnesses_hold(spec: VenereauSpec, localized: CheckReport, c: Fractio
     """Specialise each localized identity x^k * t = E at x = c and confirm
     that E(c) reproduces c^k * t, for t = y, z, u."""
     cpoly = Polynomial.constant(spec.ctx, c)
-    gens = [spec.h, spec.v, spec.w]
     for name in ("y", "z", "u"):
         result = localized.data[name]
         target = Polynomial.variable(spec.ctx, name)
-        if result.expansion is None and not result.witness_identity_holds(target, gens):
-            return False
         if result.expansion.substitute({"x": cpoly}) != target * c ** result.inv_power:
             return False
     return True

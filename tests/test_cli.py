@@ -65,6 +65,20 @@ def test_poly_eval_zero_denominator_is_usage_error():
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("expr", ["x^99999999999999999999", "(" * 3000 + "x" + ")" * 3000],
+                         ids=["huge-exponent", "deep-nesting"])
+def test_poly_parse_limits_are_usage_errors(expr):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "venlab.cli", "poly", "print", "--vars", "x", expr],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("venlab: error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_poly_compose(capsys):
     code, out, _ = run(capsys, "--json", "poly", "compose",
                        "--vars", "x,y", "--map", "y=y + x", "y^2")
@@ -108,6 +122,29 @@ def test_member_subalgebra_with_inversion(capsys):
     (rec,) = json_lines(out)
     assert rec["witnesses"]["member"] is True
     assert rec["witnesses"]["validated"] is True
+
+
+def test_member_ideal_degree_cap_bounds_normal_form(capsys):
+    code, out, _ = run(capsys, "--json", "member", "ideal", "--vars", "x,y",
+                       "--budget-degree", "3", "--f", "x^5 y^3",
+                       "--gens", "x y - 1,y^2 - 1")
+    assert code == 2
+    (rec,) = json_lines(out)
+    assert rec["verdict"] == "undetermined"
+    assert rec["stats"]["detail"] == "degree cap exceeded during reduction"
+
+
+def test_member_subalgebra_failed_witness_exit_2(capsys, monkeypatch):
+    from venlab.groebner import MembershipResult
+    monkeypatch.setattr(MembershipResult, "witness_identity_holds",
+                        lambda self, f, gens: False)
+    code, out, _ = run(capsys, "--json", "member", "subalgebra",
+                       "--vars", "x,z", "--coeff-vars", "x",
+                       "--invert", "x", "--f", "z", "--gens", "x z")
+    assert code == 2
+    (rec,) = json_lines(out)
+    assert rec["verdict"] == "undetermined"
+    assert rec["stats"]["detail"] == "witness failed re-substitution"
 
 
 def test_member_subalgebra_nonmember(capsys):

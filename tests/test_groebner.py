@@ -7,6 +7,7 @@ import pytest
 from venlab.groebner import (
     Budget,
     BudgetExceededError,
+    MembershipResult,
     buchberger,
     ideal_member,
     normal_form,
@@ -14,7 +15,7 @@ from venlab.groebner import (
     subalgebra_members,
 )
 from venlab.parse import parse_polynomial
-from venlab.poly import MonomialOrder, Polynomial, VarContext
+from venlab.poly import MonomialOrder, Polynomial, VarContext, mono_divides
 
 from helpers import ideal_member_linear, random_polynomial
 
@@ -127,6 +128,34 @@ def test_normal_form_linear_in_f():
 
 # ---------------------------------------------------------------------------
 # ideal membership
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_normal_form_is_a_remainder_over_q(order):
+    # the fraction-free kernel divides den * f and undoes scale * den at the
+    # end: the result must be fully reduced and differ from f by an ideal
+    # element, judged by the linear-algebra oracle
+    rng = random.Random(29)
+    ctx = VarContext(["x", "y", "z"])
+    fractional = 0
+    for _ in range(15):
+        gens = [random_polynomial(rng, ctx, 2, max_terms=3, allow_zero=False)
+                for _ in range(2)]
+        gb = buchberger(gens, MonomialOrder(order))
+        leads = [g.leading_term(gb.order)[0] for g in gb.generators if not g.is_zero()]
+        f = random_polynomial(rng, ctx, 3, max_terms=6)
+        fractional += any(c.denominator > 1 for c in f.terms.values())
+        nf = normal_form(f, gb)
+        assert not any(mono_divides(lead, m) for lead in leads for m in nf.terms)
+        assert ideal_member_linear(f - nf, gens)
+    assert fractional >= 3
+
+
+def test_normal_form_respects_degree_cap():
+    gb = buchberger([P("x y - 1"), P("y^2 - 1")])
+    with pytest.raises(BudgetExceededError, match="degree cap"):
+        normal_form(P("x^5 y^3"), gb, Budget(max_degree=3))
+    assert normal_form(P("x^5 y^3"), gb) == P("1")
+
 
 def test_ideal_member_basic():
     assert ideal_member(P("x^2 - 1"), [P("x - 1")])
@@ -246,6 +275,19 @@ def test_shared_basis_matches_per_target_membership(invert):
                     assert got.witness_identity_holds(f, gens)
                 seen.add(got.status)
     assert seen == {"member", "nonmember", "undetermined"}
+
+
+def test_member_status_means_a_rechecked_witness(monkeypatch):
+    z = Polynomial.variable(VarContext(["z"]), "z")
+    result = subalgebra_member(z ** 5, [z ** 2, z ** 3])
+    assert result.status == "member"
+    assert result.expansion == z ** 5
+    monkeypatch.setattr(MembershipResult, "witness_identity_holds",
+                        lambda self, f, gens: False)
+    result = subalgebra_member(z ** 5, [z ** 2, z ** 3])
+    assert result.status == "undetermined"
+    assert result.detail == "witness failed re-substitution"
+    assert result.witness is None
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,16 @@ def test_kernel_from_slice_builds_one_basis(monkeypatch):
     assert len(calls) == 1
 
 
+def test_kernel_failed_witness_is_undetermined(monkeypatch):
+    monkeypatch.setattr(groebner.MembershipResult, "witness_identity_holds",
+                        lambda self, f, gens: False)
+    D = Derivation(CTX, {"y": X, "z": Polynomial.one(CTX)})
+    result = kernel_from_slice(D, Z)
+    assert result.generation_verdict == "undetermined"
+    assert result.generation_witnesses["y"] == {
+        "status": "undetermined", "detail": "witness failed re-substitution"}
+
+
 def test_invalid_slice_rejected():
     D = Derivation(CTX, {"z": Polynomial.one(CTX)})
     with pytest.raises(InvalidSliceError):

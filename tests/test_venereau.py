@@ -154,6 +154,21 @@ def test_localized_budget_starvation_is_undetermined():
     assert report.verdict == "undetermined"
 
 
+def test_localized_failed_witness_is_undetermined(monkeypatch):
+    # a witness that fails its re-check disproves nothing
+    monkeypatch.setattr(groebner.MembershipResult, "witness_identity_holds",
+                        lambda self, f, gens: False)
+    spec = family("venereau", 1)
+    report = check_localized(spec)
+    assert report.verdict == "undetermined"
+    assert report.stats["detail"] == "witness failed re-substitution"
+    fibers = check_fibers(spec, samples=[(0, 0), (1, 0), (-1, 1)], localized=report)
+    assert fibers.verdict == "undetermined"
+    assert fibers.witnesses["(0,0)"]["verdict"] == "pass"
+    assert fibers.witnesses["(1,0)"]["verdict"] == "undetermined"
+    assert fibers.witnesses["(-1,1)"]["verdict"] == "undetermined"
+
+
 def test_jacobian_golden_value():
     for name, n in (("venereau", 1), ("venereau", 2), ("venereau", 3),
                     ("bhatwadekar-dutta", 1)):
