@@ -41,7 +41,13 @@ from .groebner import (
     subalgebra_member,
 )
 from .parse import ParseError, format_polynomial, parse_polynomial
-from .poly import ContextMismatchError, MonomialOrder, Polynomial, VarContext
+from .poly import (
+    ContextMismatchError,
+    ExponentOverflowError,
+    MonomialOrder,
+    Polynomial,
+    VarContext,
+)
 from .slice_kernel import certify_polynomial_ring, check_stably_free_shadow, kernel_from_slice
 
 USAGE_ERROR = 3
@@ -114,8 +120,11 @@ def _cmd_poly(args, rep: Reporter):
         point = {}
         for item in args.at.split(","):
             name, val = item.split("=", 1)
+            name = name.strip()
+            if name in point:
+                raise ValueError("coordinate %r given twice in --at" % name)
             try:
-                point[name.strip()] = Fraction(val.strip())
+                point[name] = Fraction(val.strip())
             except ZeroDivisionError:
                 raise ValueError("zero denominator in --at value %r" % val.strip())
         rep.emit("poly.eval", "pass", {"value": str(f.evaluate(point))})
@@ -360,8 +369,8 @@ def main(argv=None) -> int:
     try:
         args.func(args, rep)
     except (ParseError, ContextMismatchError, InvalidSliceError,
-            KernelMembershipError, NotCertifiedError, ValueError, KeyError,
-            OSError) as exc:
+            KernelMembershipError, NotCertifiedError, ExponentOverflowError,
+            ValueError, KeyError, OSError) as exc:
         print("venlab: error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     except BudgetExceededError as exc:

@@ -30,6 +30,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     VarContext,
+    clear_denominators,
     mono_deg,
     mono_div,
     mono_divides,
@@ -94,17 +95,9 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 # fraction-free integer core
 
-def _clear_denominators(p: Polynomial):
-    """(integer term dict, den) with den * p equal to those terms."""
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return {m: int(c * den) for m, c in p.terms.items()}, den
-
-
 def _to_int_terms(p: Polynomial, keyf) -> dict:
     """Content-normalized integer term dict with positive leading coefficient."""
-    return _normalize_int(_clear_denominators(p)[0], keyf)
+    return _normalize_int(clear_denominators(p.terms)[0], keyf)
 
 
 def _normalize_int(terms: dict, keyf) -> dict:
@@ -357,7 +350,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis,
         terms = _to_int_terms(g, keyf)
         lead = max(terms, key=keyf)
         entries.append((lead, terms[lead], terms))
-    work, den = _clear_denominators(f)
+    work, den = clear_denominators(f.terms)
     rem, scale = _reduce_int(work, entries, keyf, budget, GroebnerStats())
     return Polynomial(f.ctx, {m: Fraction(c, scale * den) for m, c in rem.items()})
 

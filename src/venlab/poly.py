@@ -1,11 +1,16 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Coefficients are `fractions.Fraction`, so every operation is exact and
-canonical (gcd-reduced, positive denominator) by construction.  Monomials
-are exponent tuples, one slot per variable of a `VarContext`.  A context
-may designate a prefix of its variables as the coefficient block: those
-play the role of the base ring R in R[fiber variables] and are treated as
-constants by derivations.
+Coefficient contract: `Polynomial.terms` maps exponent tuples, one slot
+per variable of a `VarContext`, to nonzero `fractions.Fraction` values,
+so every operation is exact and canonical (gcd-reduced, positive
+denominator) by construction; `int` inputs are coerced on the way in.
+Integer coefficients and packed monomial keys exist only inside the
+product kernel (`_mul_into` and its helpers), which serves `*` and
+substitution and hands back one `Fraction` per output term.
+
+A context may designate a prefix of its variables as the coefficient
+block: those play the role of the base ring R in R[fiber variables] and
+are treated as constants by derivations.
 
 All values are immutable after construction; operations return new
 objects and are safe to share between threads.
@@ -14,6 +19,8 @@ objects and are safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 #: Degree of the zero polynomial.
@@ -132,6 +139,71 @@ def mono_deg(a: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
+# integer product kernel (packed exponent vectors, after Monagan & Pearce,
+# CASC 2007)
+#
+# Operands are cleared to integer numerators over one denominator, and each
+# monomial is packed into one int with a bit field per variable.  Field
+# widths come from bounds on the exponents of the result, so adding two
+# packed keys multiplies the monomials and never carries into the next
+# field.
+
+def clear_denominators(terms: Mapping[tuple, Fraction]):
+    """(integer term dict, den) with den * terms equal to those integers."""
+    den = 1
+    for c in terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _max_exponents(terms: Iterable[tuple]) -> list:
+    """Per-variable maximum exponent of `terms`; [] when there are none."""
+    return list(map(max, zip(*terms)))
+
+
+def _fields(bounds: Iterable[int]) -> list:
+    """(shift, mask) per variable for packed keys with exponents <= bounds.
+
+    Raises ExponentOverflowError when a bound exceeds EXPONENT_LIMIT.
+    """
+    fields = []
+    shift = 0
+    for b in bounds:
+        if b > EXPONENT_LIMIT:
+            raise ExponentOverflowError("exponent %d exceeds limit" % b)
+        fields.append((shift, (1 << b.bit_length()) - 1))
+        shift += b.bit_length()
+    return fields
+
+
+def _pack(terms: Mapping[tuple, int], fields: list) -> list:
+    shifts = [s for s, _ in fields]
+    return [(sum([e << s for e, s in zip(m, shifts)]), c) for m, c in terms.items()]
+
+
+def _mul_into(acc: dict, a: list, b: list, scale: int) -> dict:
+    """acc += scale * a * b over packed integer terms; returns acc.
+
+    The one product loop: `Polynomial.__mul__` runs it into an empty dict,
+    and substitution runs every term of the substituted polynomial into
+    one shared accumulator.
+    """
+    get = acc.get
+    for ka, ca in a:
+        ca *= scale
+        for kb, cb in b:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return acc
+
+
+def _unpack(acc: dict, fields: list, den: int) -> dict:
+    """Monomial-keyed dict of the nonzero entries of acc, each divided by den."""
+    return {tuple([(k >> s) & mask for s, mask in fields]): Fraction(c, den)
+            for k, c in acc.items() if c}
+
+
+# ---------------------------------------------------------------------------
 # monomial orders
 
 class MonomialOrder:
@@ -228,6 +300,16 @@ class Polynomial:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, ctx: VarContext, terms: dict) -> "Polynomial":
+        """Wrap `terms` without validation: nonzero Fractions keyed by
+        exponent tuples of ctx's arity, as closed operations produce."""
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.terms = terms
+        self._hash = None
+        return self
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -320,12 +402,12 @@ class Polynomial:
                 terms[mono] = s
             else:
                 terms.pop(mono, None)
-        return Polynomial(self.ctx, terms)
+        return Polynomial._trusted(self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ctx, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -342,20 +424,15 @@ class Polynomial:
             c = _coerce(other)
             if c == 0:
                 return Polynomial.zero(self.ctx)
-            return Polynomial(self.ctx, {m: cc * c for m, cc in self.terms.items()})
+            return Polynomial._trusted(self.ctx, {m: cc * c for m, cc in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Polynomial(self.ctx, terms)
+        a, da = clear_denominators(self.terms)
+        b, db = clear_denominators(other.terms)
+        fields = _fields(map(add, _max_exponents(a), _max_exponents(b)))
+        acc = _mul_into({}, _pack(a, fields), _pack(b, fields), 1)
+        return Polynomial._trusted(self.ctx, _unpack(acc, fields, da * db))
 
     __rmul__ = __mul__
 
@@ -478,23 +555,62 @@ class Polynomial:
 
 
 def _apply_images(f: Polynomial, images: list, target: VarContext) -> Polynomial:
-    """Evaluate f at the given per-variable images (ring homomorphism)."""
-    power_cache = [{0: Polynomial.one(target)} for _ in images]
+    """Evaluate f at the given per-variable images (ring homomorphism).
 
-    def power(i, e):
-        cache = power_cache[i]
-        if e not in cache:
-            cache[e] = power(i, e - 1) * images[i]
-        return cache[e]
-
-    total = Polynomial.zero(target)
+    Every term c * prod x_i^e_i of f goes through the product kernel into
+    one integer accumulator over the common denominator of all terms.  The
+    top exponents of a term's image are exactly sum_i e_i * (top exponents
+    of image i), so their maximum sizes the packed fields and is the
+    overflow check.  Terms that meet a zero image vanish.
+    """
+    cleared = [clear_denominators(g.terms) for g in images]
+    tops = [_max_exponents(t) if t else None for t, _ in cleared]
+    live = []
+    bounds = [0] * target.arity
+    den = 1
     for mono, c in f.terms.items():
-        term = Polynomial.constant(target, c)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * power(i, e)
-        total = total + term
-    return total
+        used = [(i, e) for i, e in enumerate(mono) if e]
+        if any(tops[i] is None for i, _ in used):
+            continue
+        d = c.denominator
+        top = [0] * target.arity
+        for i, e in used:
+            d *= cleared[i][1] ** e
+            top = [t + e * x for t, x in zip(top, tops[i])]
+        bounds = [max(b, t) for b, t in zip(bounds, top)]
+        den = den * d // gcd(den, d)
+        live.append((used, c.numerator, d))
+    fields = _fields(bounds)
+    packed = [_pack(t, fields) for t, _ in cleared]
+    powers = [{0: [(0, 1)]} for _ in images]
+    acc = {}
+    for used, num, d in live:
+        factors = sorted((_power(powers[i], packed[i], e) for i, e in used), key=len)
+        head = [(0, 1)]
+        for p in factors[:-1]:
+            head = _nonzero(_mul_into({}, head, p, 1))
+        _mul_into(acc, head, factors[-1] if factors else [(0, 1)], num * (den // d))
+    return Polynomial._trusted(target, _unpack(acc, fields, den))
+
+
+def _nonzero(acc: dict) -> list:
+    return [(k, c) for k, c in acc.items() if c]
+
+
+def _power(cache: dict, base: list, e: int) -> list:
+    """base^e over packed integer terms, memoised in cache (holding 0 -> 1).
+
+    One step up from a cached power when there is one, otherwise by
+    squaring, so that a huge exponent costs log(e) products.
+    """
+    if e not in cache:
+        if e - 1 in cache:
+            cache[e] = _nonzero(_mul_into({}, cache[e - 1], base, 1))
+        else:
+            half = _power(cache, base, e // 2)
+            p = _nonzero(_mul_into({}, half, half, 1))
+            cache[e] = _nonzero(_mul_into({}, p, base, 1)) if e % 2 else p
+    return cache[e]
 
 
 class PolyMap:

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they check:
 membership by degree-bounded exact linear algebra (no Groebner bases),
 determinants by permutation expansion (no cofactor recursion), shifts by
-direct substitution (no Taylor iteration).
+direct substitution (no Taylor iteration), products and substitution pair
+by pair over Fractions (no packed integer kernel).
 """
 
 from __future__ import annotations
@@ -150,6 +151,41 @@ def shifted_by_substitution(f: Polynomial) -> Polynomial:
             img = img + Polynomial.variable(ext, SHIFT_PREFIX + name)
         images[name] = img
     return f.rename_context(ext).substitute(images)
+
+
+# ---------------------------------------------------------------------------
+# oracle 4: products and substitution pair by pair over tuples and Fractions
+#
+# These read and build plain {exponent tuple: Fraction} dicts and never call
+# Polynomial arithmetic, so they share no code with the packed integer
+# product kernel they check.
+
+def naive_product(a: dict, b: dict) -> dict:
+    """The term dict of a * b, one Fraction product per pair of terms."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {m: c for m, c in out.items() if c}
+
+
+def naive_substitute(f: Polynomial, images: dict) -> dict:
+    """The term dict of f with every variable replaced by its image.
+
+    `images` maps every variable of f to a Polynomial; each term of f is
+    expanded by repeated `naive_product` and added to a running total.
+    """
+    arity = next(iter(images.values())).ctx.arity
+    total = {}
+    for mono, c in f.terms.items():
+        term = {(0,) * arity: Fraction(c)}
+        for name, e in zip(f.ctx.names, mono):
+            for _ in range(e):
+                term = naive_product(term, images[name].terms)
+        for m, v in term.items():
+            total[m] = total.get(m, Fraction(0)) + v
+    return {m: c for m, c in total.items() if c}
 
 
 # ---------------------------------------------------------------------------

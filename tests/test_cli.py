@@ -79,6 +79,40 @@ def test_poly_parse_limits_are_usage_errors(expr):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def _run_module(module, *argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ["print", "--vars", "x", "x^4611686018427387904 * x"],
+    ["compose", "--vars", "x", "--map", "x=x^4611686018427387904", "x^2"],
+], ids=["product", "compose"])
+def test_exponent_overflow_in_arithmetic_is_usage_error(argv):
+    proc = _run_module("venlab.cli", "poly", *argv)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("venlab: error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_poly_eval_repeated_coordinate_is_usage_error(capsys):
+    code, out, err = run(capsys, "--json", "poly", "eval",
+                         "--vars", "x,y", "--at", "x=1,y=2, x=2", "x y")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("venlab: error:") and "'x'" in err
+
+
+def test_python_m_venlab_runs_the_cli():
+    proc = _run_module("venlab", "--json", "poly", "print", "--vars", "x,y", "y*x + 1/2")
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json_lines(proc.stdout)
+    assert rec["witnesses"]["canonical"] == "x*y + 1/2"
+
+
 def test_poly_compose(capsys):
     code, out, _ = run(capsys, "--json", "poly", "compose",
                        "--vars", "x,y", "--map", "y=y + x", "y^2")

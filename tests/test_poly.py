@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from venlab.poly import (
+    EXPONENT_LIMIT,
     ContextMismatchError,
     ExponentOverflowError,
     NEG_INFINITY,
@@ -16,6 +17,8 @@ from venlab.poly import (
     jacobian_det,
 )
 from venlab.parse import ParseError, format_polynomial, parse_polynomial
+
+from helpers import naive_product, naive_substitute
 
 CTX = VarContext(["x", "y", "z"])
 X, Y, Z = (Polynomial.variable(CTX, n) for n in "xyz")
@@ -223,3 +226,145 @@ def test_parse_unknown_variable():
 def test_parse_implicit_multiplication():
     assert P("2x y") == P("2 * x * y")
     assert P("3/4x^2") == P("3/4 * x^2")
+
+
+# ---------------------------------------------------------------------------
+# the packed integer product kernel against the pair-by-pair oracle
+
+#: Exponents on both sides of field-width edges (2^k - 1 and 2^k).
+EDGE_EXPONENTS = [e for k in (1, 2, 3, 7, 8, 31, 32, 61) for e in (2**k - 1, 2**k)]
+
+
+def _context(arity, prefix="v"):
+    return VarContext(["%s%d" % (prefix, i) for i in range(arity)])
+
+
+def _scalar(rng):
+    """A nonzero int or Fraction, negative half the time."""
+    n = rng.choice([-1, 1]) * rng.randint(1, 9)
+    return n if rng.random() < 0.5 else Fraction(n, rng.randint(1, 7))
+
+
+def _operand(rng, ctx, edges=EDGE_EXPONENTS, max_terms=6, max_degree=4):
+    """Random polynomial built from int and Fraction inputs; sometimes a constant.
+
+    A monomial has total degree <= max_degree, except that one of its
+    exponents is sometimes replaced by one from `edges`.
+    """
+    if rng.random() < 0.15:
+        return Polynomial.constant(ctx, _scalar(rng))
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = [0] * ctx.arity
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(ctx.arity)] += 1
+        if edges and rng.random() < 0.3:
+            mono[rng.randrange(ctx.arity)] = rng.choice(edges)
+        terms[tuple(mono)] = _scalar(rng)
+    return Polynomial(ctx, terms)
+
+
+def _assert_fraction_terms(p):
+    assert all(type(c) is Fraction for c in p.terms.values()), p.terms
+
+
+def test_product_matches_pairwise_oracle():
+    rng = random.Random(4101)
+    for arity in range(1, 8):
+        ctx = _context(arity)
+        for _ in range(40):
+            a, b = _operand(rng, ctx), _operand(rng, ctx)
+            prod = a * b
+            assert prod.terms == naive_product(a.terms, b.terms)
+            _assert_fraction_terms(prod)
+            c = _scalar(rng)
+            scaled = a * c
+            assert scaled.terms == naive_product(a.terms, {(0,) * arity: c})
+            _assert_fraction_terms(scaled)
+            _assert_fraction_terms(a + b)
+            _assert_fraction_terms(-a)
+
+
+def test_product_cancellation_matches_pairwise_oracle():
+    """(c*m1 + m2)(c*m1 - m2) = c^2*m1^2 - m2^2: the cross terms cancel."""
+    rng = random.Random(4102)
+    for arity in range(1, 8):
+        ctx = _context(arity)
+        for _ in range(20):
+            m1 = tuple(rng.choice(EDGE_EXPONENTS + [0, 1, 2]) for _ in range(arity))
+            m2 = tuple(rng.randint(0, 3) for _ in range(arity))
+            if m1 == m2:
+                continue
+            c = _scalar(rng)
+            a = Polynomial(ctx, {m1: c, m2: 1})
+            b = Polynomial(ctx, {m1: c, m2: -1})
+            prod = a * b
+            assert prod.terms == naive_product(a.terms, b.terms)
+            assert len(prod.terms) == 2
+            _assert_fraction_terms(prod)
+            assert (a * b - b * a).is_zero()
+
+
+def test_substitute_matches_pairwise_oracle():
+    rng = random.Random(4103)
+    small_edges = [e for e in EDGE_EXPONENTS if e <= 2**8]
+    for arity in range(1, 8):
+        src = _context(arity, "t")
+        for _ in range(12):
+            target = _context(rng.randint(1, 7))
+            images = {n: _operand(rng, target, small_edges, max_terms=4, max_degree=3)
+                      for n in src.names}
+            f = _operand(rng, src, edges=None, max_degree=3)
+            # a second part whose image cancels across its terms
+            t0 = Polynomial.variable(src, "t0")
+            if arity == 1:
+                c = _scalar(rng)
+                images["t0"] = Polynomial.constant(target, c)
+                vanishing = t0 - c
+            else:
+                images["t1"] = Polynomial(target, naive_product(images["t0"].terms,
+                                                               images["t0"].terms))
+                vanishing = _scalar(rng) * (t0 * t0 - Polynomial.variable(src, "t1"))
+            assert vanishing.substitute(images).is_zero()
+            for g in (f, f + vanishing):
+                image = g.substitute(images)
+                assert image.ctx == target
+                assert image.terms == naive_substitute(g, images)
+                _assert_fraction_terms(image)
+                assert PolyMap(src, target, images)(g) == image
+
+
+def test_product_overflow_boundary():
+    ctx = VarContext(["x", "y", "z"])
+    at_limit = Polynomial(ctx, {(EXPONENT_LIMIT - 1, 0, 0): 1}) * Polynomial(ctx, {(1, 0, 0): 2})
+    assert at_limit.terms == {(EXPONENT_LIMIT, 0, 0): Fraction(2)}
+    # only y overflows, and only in the last pair of terms
+    b = Polynomial(ctx, {(0, 0, 1): 1, (0, 1, 0): -1})
+    fits = Polynomial(ctx, {(1, 0, 0): 1, (0, EXPONENT_LIMIT - 1, 0): 3})
+    assert (fits * b).terms == naive_product(fits.terms, b.terms)
+    assert (fits * b).coefficient((0, EXPONENT_LIMIT, 0)) == -3
+    over = Polynomial(ctx, {(1, 0, 0): 1, (0, EXPONENT_LIMIT, 0): 3})
+    with pytest.raises(ExponentOverflowError):
+        over * b
+    with pytest.raises(ExponentOverflowError):
+        b * over
+
+
+def test_substitute_overflow_boundary():
+    ctx = VarContext(["x", "y", "z"])
+    x, y = Polynomial.variable(ctx, "x"), Polynomial.variable(ctx, "y")
+    half = EXPONENT_LIMIT // 2
+    f = x * y + Polynomial.variable(ctx, "z") ** 2
+    at_limit = f.substitute({"z": x + Polynomial(ctx, {(0, half, 0): 1})})
+    assert at_limit.coefficient((0, EXPONENT_LIMIT, 0)) == 1
+    with pytest.raises(ExponentOverflowError):
+        f.substitute({"z": x + Polynomial(ctx, {(0, half + 1, 0): 1})})
+
+
+def test_substitute_keeps_a_huge_power_of_a_fixed_variable():
+    ctx = VarContext(["x", "y"])
+    y = Polynomial.variable(ctx, "y")
+    f = Polynomial(ctx, {(2**40, 1): 3, (2**40 + 1, 0): 1})
+    assert f.substitute({"y": y + 1}).terms == {
+        (2**40, 1): Fraction(3), (2**40, 0): Fraction(3), (2**40 + 1, 0): Fraction(1)}
+    assert f.substitute({"x": Polynomial.one(ctx)}) == 3 * y + 1
