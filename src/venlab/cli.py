@@ -121,6 +121,8 @@ def _cmd_poly(args, rep: Reporter):
         for item in args.at.split(","):
             name, val = item.split("=", 1)
             name = name.strip()
+            if name not in ctx:
+                raise ValueError("coordinate %r in --at is not in --vars" % name)
             if name in point:
                 raise ValueError("coordinate %r given twice in --at" % name)
             try:
@@ -130,9 +132,14 @@ def _cmd_poly(args, rep: Reporter):
         rep.emit("poly.eval", "pass", {"value": str(f.evaluate(point))})
     elif args.action == "compose":
         images = {}
-        for item in args.map or []:
+        for item in args.map:
             name, expr = item.split("=", 1)
-            images[name.strip()] = parse_polynomial(expr, ctx)
+            name = name.strip()
+            if name not in ctx:
+                raise ValueError("variable %r in --map is not in --vars" % name)
+            if name in images:
+                raise ValueError("variable %r mapped twice in --map" % name)
+            images[name] = parse_polynomial(expr, ctx)
         rep.emit("poly.compose", "pass",
                  {"image": format_polynomial(f.substitute(images))})
 

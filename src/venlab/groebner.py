@@ -4,7 +4,9 @@ The engine is deliberately simple: normal selection strategy (pairs by
 lcm degree, then by index), the coprime-leading-term and chain criteria,
 and full tail reduction to a unique reduced basis.  Internally all
 reductions are fraction-free over Z on content-normalized integer
-polynomials; the published basis is monic over Q.
+polynomials whose monomials are packed integer keys ordered like the
+monomial order, with each leading term taken from a heap; the published
+basis is monic over Q, keyed by exponent tuples.
 
 Subalgebra membership f in R[g_1..g_m] uses tag-variable elimination:
 adjoin tags t_i with relations t_i - g_i (and x*x_inv - 1 when a variable
@@ -21,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Optional, Sequence
+from operator import itemgetter, mul
+from typing import Mapping, Optional, Sequence
 
 from .poly import (
     ContextMismatchError,
@@ -31,11 +34,6 @@ from .poly import (
     Polynomial,
     VarContext,
     clear_denominators,
-    mono_deg,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 TAG_PREFIX = "_t"
@@ -77,6 +75,23 @@ class GroebnerBasis:
     order: MonomialOrder
     ctx: VarContext
     stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
+    # (keys, packed entries) for normal_form, set on first use
+    _packed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def _reducers(self, bound: int) -> tuple:
+        """(keys, packed basis entries) for reducing terms of degree <= bound.
+
+        Packed on first use and kept; packed again with wider fields only
+        when a target needs them.
+        """
+        packed = self._packed
+        if packed is None or packed[0].bound < bound:
+            polys = [g for g in self.generators if not g.is_zero()]
+            keys = _Keys(self.order, self.ctx.arity, max([bound] + [g.degree() for g in polys]))
+            packed = keys, [_entry(_normalize(keys.terms(clear_denominators(g.terms)[0])))
+                            for g in polys]
+            object.__setattr__(self, "_packed", packed)
+        return packed
 
     def serialize(self) -> dict:
         """Order descriptor plus canonical polynomial strings."""
@@ -93,57 +108,139 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free integer core
+# packed monomial keys (after Monagan & Pearce, CASC 2007)
+#
+# Inside the engine a monomial is one int with a bit field per linear form
+# of the monomial order, most significant first, then a total-degree field
+# and the raw exponents.  Every field is a nonnegative sum of exponents, so
+# integer order of keys is the monomial order, adding two keys multiplies
+# the monomials, and a divides b exactly when b - a borrows into no guard
+# bit (the lowest field that goes negative sets its own guard bit).
 
-def _to_int_terms(p: Polynomial, keyf) -> dict:
-    """Content-normalized integer term dict with positive leading coefficient."""
-    return _normalize_int(clear_denominators(p.terms)[0], keyf)
+class _Keys:
+    """Packed keys for one order and arity, for monomials of degree <= bound.
+
+    Fields hold up to 2 * bound, so the product of two such monomials (a
+    reduction or S-polynomial term before its degree check) never carries
+    into the next field.
+    """
+
+    __slots__ = ("bound", "units", "shifts", "mask", "guard", "deg_shift", "deg_field")
+
+    def __init__(self, order: MonomialOrder, arity: int, bound: int):
+        width = (2 * bound).bit_length()
+        step = width + 1
+        forms = [{i} for i in range(arity)] + [set(range(arity))]
+        forms += reversed(_order_forms(order, arity))
+        self.bound = bound
+        self.units = [sum(1 << (f * step) for f, form in enumerate(forms) if i in form)
+                      for i in range(arity)]
+        self.shifts = [i * step for i in range(arity)]
+        self.mask = (1 << width) - 1
+        self.guard = sum(1 << (f * step + width) for f in range(len(forms)))
+        self.deg_shift = arity * step
+        self.deg_field = self.mask << self.deg_shift
+
+    def pack(self, mono) -> int:
+        return sum(map(mul, mono, self.units))
+
+    def unpack(self, key: int) -> tuple:
+        mask = self.mask
+        return tuple([(key >> s) & mask for s in self.shifts])
+
+    def degree(self, key: int) -> int:
+        return (key >> self.deg_shift) & self.mask
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a) & self.guard
+
+    def terms(self, terms: Mapping[tuple, int]) -> list:
+        """Packed (key, coeff) list of a monomial-keyed dict, descending."""
+        return sorted(zip(map(self.pack, terms), terms.values()), reverse=True)
+
+    def rekey(self, terms, old: "_Keys") -> list:
+        """(key, coeff) pairs packed by `old`, packed again by these keys."""
+        return [(self.pack(old.unpack(k)), c) for k, c in terms]
 
 
-def _normalize_int(terms: dict, keyf) -> dict:
+def _order_forms(order: MonomialOrder, arity: int) -> list:
+    """Variable sets whose exponent sums, compared in turn, decide `order`.
+
+    grevlex compares deg, then -e_n, ..., -e_2 (e_1 follows from the rest),
+    which for equal degrees is deg - e_n, ..., deg - e_2; elim does so per
+    block; lex compares the exponents.
+    """
+    if order.kind == "lex":
+        return [{i} for i in range(arity)]
+    if order.kind == "grevlex":
+        blocks = [range(arity)]
+    else:
+        k = min(order.block_split, arity)
+        blocks = [range(k), range(k, arity)]
+    forms = []
+    for block in blocks:
+        forms.append(set(block))
+        forms += [set(block) - {i} for i in reversed(block[1:])]
+    return forms
+
+
+# ---------------------------------------------------------------------------
+# fraction-free integer core over packed keys
+#
+# A polynomial is a descending list of (key, int) pairs; a basis entry is
+# (lead_key, lead_coeff, tail) with the tail a descending list.
+
+def _normalize(terms: list) -> list:
+    """Content-normalized, with a positive leading coefficient."""
     if not terms:
         return terms
     g = 0
-    for c in terms.values():
+    for _, c in terms:
         g = gcd(g, c)
-    if g > 1:
-        terms = {m: c // g for m, c in terms.items()}
-    lead = max(terms, key=keyf)
-    if terms[lead] < 0:
-        terms = {m: -c for m, c in terms.items()}
+    if terms[0][1] < 0:
+        g = -g
+    if g != 1:
+        terms = [(k, c // g) for k, c in terms]
     return terms
 
 
-def _reduce_int(work: dict, basis: list, keyf, budget: Budget, stats: GroebnerStats):
+def _entry(terms: list) -> tuple:
+    return terms[0][0], terms[0][1], terms[1:]
+
+
+def _reduce(terms, basis: list, keys: _Keys, budget: Budget, stats: GroebnerStats):
     """Full normal form of an integer polynomial modulo `basis`, fraction-free.
 
-    `basis` entries are (lead_mono, lead_coeff, terms).  Returns
-    (remainder, scale) with scale * work == remainder modulo the basis and
-    scale a positive integer; cofactors are not tracked.  Every step counts
-    against `budget.max_reductions` and every product term against
+    `terms` yields (key, coeff) pairs.  Returns (remainder, scale) with
+    scale * terms == remainder modulo the basis, the remainder descending
+    and scale a positive integer; cofactors are not tracked.  Each leading
+    term is a heap pop; keys cancelled on the way stay in the heap and are
+    skipped when popped.  Every step counts against
+    `budget.max_reductions` and every product term against
     `budget.max_degree`.
     """
-    work = dict(work)
+    work = dict(terms)
+    heap = [-k for k in work]
+    heapify(heap)
+    guard, deg_field = keys.guard, keys.deg_field
+    cap = budget.max_degree << keys.deg_shift
     rem: dict = {}
     scale = 1
-    while work:
-        m = max(work, key=keyf)
-        c = work.pop(m)
-        if c == 0:
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
             continue
-        hit = None
-        for lt, lc, terms in basis:
-            if mono_divides(lt, m):
-                hit = (lt, lc, terms)
+        for lt, lc, tail in basis:
+            if not (m - lt) & guard:
                 break
-        if hit is None:
+        else:
             rem[m] = c
             continue
         stats.reductions += 1
         if stats.reductions > budget.max_reductions:
             raise BudgetExceededError("reduction step cap exceeded")
-        lt, lc, terms = hit
-        q = mono_div(m, lt)
+        q = m - lt
         g = gcd(c, lc)
         a = lc // g          # multiply work side
         b = c // g           # multiply reducer side
@@ -155,35 +252,31 @@ def _reduce_int(work: dict, basis: list, keyf, budget: Budget, stats: GroebnerSt
                 work[k] *= a
             for k in rem:
                 rem[k] *= a
-        for tm, tc in terms.items():
-            if tm == lt:
-                continue
-            mm = mono_mul(tm, q)
-            if mono_deg(mm) > budget.max_degree:
+        for tm, tc in tail:
+            mm = tm + q
+            if mm & deg_field > cap:
                 raise BudgetExceededError("degree cap exceeded during reduction")
-            s = work.get(mm, 0) - b * tc
-            if s:
-                work[mm] = s
+            bc = b * tc
+            s = work.get(mm)
+            if s is None:
+                work[mm] = -bc
+                heappush(heap, -mm)
+            elif s != bc:
+                work[mm] = s - bc
             else:
-                work.pop(mm, None)
-    return rem, scale
+                del work[mm]
+    return list(rem.items()), scale
 
 
-def _spoly_int(f, g, keyf, budget: Budget) -> dict:
-    """Fraction-free S-polynomial of two integer basis entries."""
+def _spoly(f: tuple, g: tuple, lcm: int, keys: _Keys) -> dict:
+    """Fraction-free S-polynomial of two basis entries with lead lcm `lcm`."""
     (ltf, lcf, tf), (ltg, lcg, tg) = f, g
-    l = mono_lcm(ltf, ltg)
-    if mono_deg(l) > budget.max_degree:
-        raise BudgetExceededError("degree cap exceeded in S-pair")
     d = gcd(lcf, lcg)
-    mf, mg = mono_div(l, ltf), mono_div(l, ltg)
+    mf, mg = lcm - ltf, lcm - ltg
     cf, cg = lcg // d, lcf // d
-    out: dict = {}
-    for tm, tc in tf.items():
-        mm = mono_mul(tm, mf)
-        out[mm] = out.get(mm, 0) + cf * tc
-    for tm, tc in tg.items():
-        mm = mono_mul(tm, mg)
+    out = {tm + mf: cf * tc for tm, tc in tf}
+    for tm, tc in tg:
+        mm = tm + mg
         s = out.get(mm, 0) - cg * tc
         if s:
             out[mm] = s
@@ -208,47 +301,44 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
             raise ContextMismatchError("generators live in different contexts")
     if order is None:
         order = MonomialOrder("grevlex")
-    keyf = _key_cache(order)
     stats = GroebnerStats()
+    keys = _Keys(order, ctx.arity, max([budget.max_degree] + [g.degree() for g in gens]))
 
-    basis = []  # (lead_mono, lead_coeff, terms)
+    basis = []  # (lead_key, lead_coeff, tail)
     for g in gens:
-        terms = _to_int_terms(g, keyf)
-        if not terms:
+        if g.is_zero():
             continue
-        if max(mono_deg(m) for m in terms) > budget.max_degree:
+        if g.degree() > budget.max_degree:
             raise BudgetExceededError("input generator exceeds degree cap")
-        terms = _normalize_int(_reduce_int(terms, basis, keyf, budget, stats)[0], keyf)
+        terms = _normalize(keys.terms(clear_denominators(g.terms)[0]))
+        terms = _normalize(_reduce(terms, basis, keys, budget, stats)[0])
         if terms:
-            lead = max(terms, key=keyf)
-            basis.append((lead, terms[lead], terms))
+            basis.append(_entry(terms))
     if not basis:
         return GroebnerBasis((Polynomial.zero(ctx),), order, ctx, stats=stats)
 
+    leads = [keys.unpack(b[0]) for b in basis]   # exponent tuples, for lcms
     pairs = []          # heap of (lcm degree, i, j)
     pending = set()
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            l = mono_lcm(basis[i][0], basis[j][0])
-            heappush(pairs, (mono_deg(l), i, j))
+            heappush(pairs, (sum(map(max, leads[i], leads[j])), i, j))
             pending.add((i, j))
 
     while pairs:
         _, i, j = heappop(pairs)
         pending.discard((i, j))
         fi, fj = basis[i], basis[j]
-        if fi is None or fj is None:
-            continue
-        l = mono_lcm(fi[0], fj[0])
+        l = keys.pack(map(max, leads[i], leads[j]))
         # coprime leading terms: S-polynomial reduces to zero
-        if l == mono_mul(fi[0], fj[0]):
+        if l == fi[0] + fj[0]:
             continue
         # chain criterion
         skip = False
         for k, fk in enumerate(basis):
-            if fk is None or k == i or k == j:
+            if k == i or k == j:
                 continue
-            if mono_divides(fk[0], l):
+            if keys.divides(fk[0], l):
                 pi = (min(i, k), max(i, k))
                 pj = (min(j, k), max(j, k))
                 if pi not in pending and pj not in pending:
@@ -257,75 +347,59 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
         if skip:
             continue
         stats.pairs_processed += 1
-        s = _spoly_int(fi, fj, keyf, budget)
-        live = [b for b in basis if b is not None]
-        s = _normalize_int(_reduce_int(s, live, keyf, budget, stats)[0], keyf)
+        if keys.degree(l) > budget.max_degree:
+            raise BudgetExceededError("degree cap exceeded in S-pair")
+        s = _spoly(fi, fj, l, keys)
+        # S-polynomial tails are not held to the degree cap; widen the
+        # fields before a term above the bound can enter a product
+        top = max(map(keys.degree, s), default=0)
+        if top > keys.bound:
+            old, keys = keys, _Keys(order, ctx.arity, max(top, 2 * keys.bound))
+            basis = [(keys.pack(old.unpack(lt)), lc, keys.rekey(tail, old))
+                     for lt, lc, tail in basis]
+            s = dict(keys.rekey(s.items(), old))
+        s = _normalize(_reduce(s.items(), basis, keys, budget, stats)[0])
         if not s:
             continue
-        lead = max(s, key=keyf)
         new_index = len(basis)
-        basis.append((lead, s[lead], s))
-        if sum(1 for b in basis if b is not None) > budget.max_basis:
+        basis.append(_entry(s))
+        leads.append(keys.unpack(s[0][0]))
+        if len(basis) > budget.max_basis:
             raise BudgetExceededError("basis size cap exceeded")
-        for k, fk in enumerate(basis[:-1]):
-            if fk is None:
-                continue
-            l2 = mono_lcm(fk[0], lead)
-            heappush(pairs, (mono_deg(l2), k, new_index))
+        for k in range(new_index):
+            heappush(pairs, (sum(map(max, leads[k], leads[-1])), k, new_index))
             pending.add((k, new_index))
 
-    live = [b for b in basis if b is not None]
-    reduced = _interreduce(live, keyf, budget, stats)
     polys = []
-    for terms in reduced:
-        lead = max(terms, key=keyf)
-        lc = terms[lead]
-        polys.append(Polynomial(ctx, {m: Fraction(c, lc) for m, c in terms.items()}))
-    polys.sort(key=lambda p: keyf(p.leading_term(order)[0]))
+    for lead, lc, tail in _interreduce(basis, keys, budget, stats):
+        polys.append(Polynomial(ctx, {keys.unpack(k): Fraction(c, lc)
+                                      for k, c in [(lead, lc)] + tail}))
     stats.basis_size = len(polys)
     return GroebnerBasis(tuple(polys), order, ctx, stats=stats)
 
 
-def _interreduce(basis: list, keyf, budget: Budget, stats: GroebnerStats) -> list:
-    """Minimalize and tail-reduce to the unique reduced basis (up to scaling)."""
-    # minimal: no lead divides another lead
-    basis = sorted(basis, key=lambda b: keyf(b[0]))
+def _interreduce(basis: list, keys: _Keys, budget: Budget, stats: GroebnerStats) -> list:
+    """Minimalize and tail-reduce to the unique reduced basis (up to scaling).
+
+    Returns the entries ascending by lead.  Tail reduction keeps every
+    lead, since in a minimal basis no lead divides another.
+    """
     minimal = []
-    for b in basis:
-        if not any(mono_divides(o[0], b[0]) for o in minimal):
+    for b in sorted(basis, key=itemgetter(0)):
+        if not any(keys.divides(o[0], b[0]) for o in minimal):
             minimal.append(b)
     # tail-reduce each against the others until stable
     changed = True
-    current = [b[2] for b in minimal]
+    current = minimal
     while changed:
         changed = False
-        for i in range(len(current)):
-            others = []
-            for j, terms in enumerate(current):
-                if j == i:
-                    continue
-                lead = max(terms, key=keyf)
-                others.append((lead, terms[lead], terms))
-            red = _normalize_int(_reduce_int(current[i], others, keyf, budget, stats)[0], keyf)
+        for i, (lead, lc, tail) in enumerate(current):
+            others = current[:i] + current[i + 1:]
+            red = _entry(_normalize(_reduce([(lead, lc)] + tail, others, keys, budget, stats)[0]))
             if red != current[i]:
                 current[i] = red
                 changed = True
-        current = [t for t in current if t]
     return current
-
-
-def _key_cache(order: MonomialOrder):
-    cache: dict = {}
-    base = order.key
-
-    def keyf(mono):
-        k = cache.get(mono)
-        if k is None:
-            k = base(mono)
-            cache[mono] = k
-        return k
-
-    return keyf
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +413,15 @@ def normal_form(f: Polynomial, gb: GroebnerBasis,
     reduction runs fraction-free on den * f under the same caps as
     `buchberger`, with its own step count so that `gb.stats` describes
     the basis alone; the remainder is unique because the basis is reduced.
+    The basis is packed once and kept on `gb` for later targets.
     """
     if f.ctx != gb.ctx:
         raise ContextMismatchError("polynomial and basis contexts differ")
-    keyf = _key_cache(gb.order)
-    entries = []
-    for g in gb.generators:
-        if g.is_zero():
-            continue
-        terms = _to_int_terms(g, keyf)
-        lead = max(terms, key=keyf)
-        entries.append((lead, terms[lead], terms))
     work, den = clear_denominators(f.terms)
-    rem, scale = _reduce_int(work, entries, keyf, budget, GroebnerStats())
-    return Polynomial(f.ctx, {m: Fraction(c, scale * den) for m, c in rem.items()})
+    keys, entries = gb._reducers(max(budget.max_degree, f.degree()))
+    rem, scale = _reduce(zip(map(keys.pack, work), work.values()), entries, keys,
+                         budget, GroebnerStats())
+    return Polynomial(f.ctx, {keys.unpack(k): Fraction(c, scale * den) for k, c in rem})
 
 
 def ideal_member(f: Polynomial, gens: Sequence[Polynomial],

@@ -6,7 +6,8 @@ so every operation is exact and canonical (gcd-reduced, positive
 denominator) by construction; `int` inputs are coerced on the way in.
 Integer coefficients and packed monomial keys exist only inside the
 product kernel (`_mul_into` and its helpers), which serves `*` and
-substitution and hands back one `Fraction` per output term.
+substitution, and inside the Buchberger engine in `groebner`; both hand
+back one `Fraction` per output term.
 
 A context may designate a prefix of its variables as the coefficient
 block: those play the role of the base ring R in R[fiber variables] and

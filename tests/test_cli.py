@@ -106,6 +106,20 @@ def test_poly_eval_repeated_coordinate_is_usage_error(capsys):
     assert err.startswith("venlab: error:") and "'x'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compose", "--vars", "x,y", "--map", "x=1", "--map", "x=2", "x + y"],
+    ["compose", "--vars", "x,y", "--map", "z=1", "x + y"],
+    ["eval", "--vars", "x", "--at", "x=1,z=2", "x"],
+], ids=["compose-repeated", "compose-unknown", "eval-unknown"])
+def test_poly_bad_variable_names_are_usage_errors(argv):
+    proc = _run_module("venlab.cli", "poly", *argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("venlab: error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_python_m_venlab_runs_the_cli():
     proc = _run_module("venlab", "--json", "poly", "print", "--vars", "x,y", "y*x + 1/2")
     assert proc.returncode == 0, proc.stderr

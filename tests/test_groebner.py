@@ -1,9 +1,11 @@
 """Groebner engine: bases, normal forms, membership, budgets, oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from venlab import groebner
 from venlab.groebner import (
     Budget,
     BudgetExceededError,
@@ -15,7 +17,7 @@ from venlab.groebner import (
     subalgebra_members,
 )
 from venlab.parse import parse_polynomial
-from venlab.poly import MonomialOrder, Polynomial, VarContext, mono_divides
+from venlab.poly import MonomialOrder, Polynomial, VarContext, mono_divides, mono_mul
 
 from helpers import ideal_member_linear, random_polynomial
 
@@ -91,6 +93,108 @@ def test_reduced_basis_properties():
                 lt = other.leading_term(gb.order)[0]
                 for mono in g.terms:
                     assert not mono_divides(lt, mono)
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys
+
+@pytest.mark.parametrize("order", ["lex", "grevlex", "elim:1", "elim:3"])
+def test_packed_keys_follow_the_monomial_order(order):
+    # keys must compare like MonomialOrder.key, test divisibility like
+    # mono_divides, and multiply by addition without carrying between
+    # fields, also for products of two monomials at the degree bound
+    order = MonomialOrder.parse(order)
+    rng = random.Random(17)
+    arity, bound = 4, 6
+    keys = groebner._Keys(order, arity, bound)
+    monos = [tuple(bound if i == j else 0 for i in range(arity)) for j in range(arity)]
+    monos += [(0,) * arity, (1,) * arity]
+    while len(monos) < 40:
+        mono = [0] * arity
+        for _ in range(rng.choice([rng.randint(0, bound), bound])):
+            mono[rng.randrange(arity)] += 1
+        monos.append(tuple(mono))
+    for a in monos:
+        ka = keys.pack(a)
+        assert keys.unpack(ka) == a
+        assert keys.degree(ka) == sum(a)
+        for b in monos:
+            kb = keys.pack(b)
+            assert (ka < kb) == (order.key(a) < order.key(b))
+            assert keys.divides(ka, kb) == mono_divides(a, b)
+            ab = mono_mul(a, b)
+            assert ka + kb == keys.pack(ab)
+            assert keys.unpack(ka + kb) == ab
+            assert keys.degree(ka + kb) == sum(ab)
+            for c in monos[:12]:
+                assert (ka + kb < keys.pack(c)) == (order.key(ab) < order.key(c))
+
+
+@pytest.mark.parametrize("gens, cap, expected", [
+    (["-x*y^2 - 3*x^2", "5*x^2*y"], 5, None),
+    (["5*x^2*y - 2*x*y^2 - 5*x^2", "-3*x^2*y + 5*x - 1/2", "-4*x^2*y - 5*x*y^2 + x*y"], 3, None),
+    (["2*x^2*y - 4*y^3", "x^2*y + 4*x*y"], 3, "degree cap exceeded during reduction"),
+], ids=["basis", "unit-ideal", "cap-exceeded"])
+def test_s_polynomial_terms_above_the_cap_widen_the_keys(monkeypatch, gens, cap, expected):
+    # under lex an S-polynomial term may pass the degree cap (only lcms and
+    # reduction products are held to it); the keys widen, and the basis or
+    # the budget detail comes out as without packing
+    bounds = []
+
+    class Recording(groebner._Keys):
+        __slots__ = ()
+
+        def __init__(self, order, arity, bound):
+            bounds.append(bound)
+            super().__init__(order, arity, bound)
+
+    monkeypatch.setattr(groebner, "_Keys", Recording)
+    gens = [P(g) for g in gens]
+    lex = MonomialOrder("lex")
+    if expected is None:
+        assert buchberger(gens, lex, Budget(max_degree=cap)) == buchberger(gens, lex)
+    else:
+        with pytest.raises(BudgetExceededError, match=expected):
+            buchberger(gens, lex, Budget(max_degree=cap))
+    assert bounds[:2] == [cap, 2 * cap]
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties
+
+@pytest.mark.parametrize("order", ["lex", "grevlex", "elim:1", "elim:2"])
+def test_reduced_basis_ignores_generator_order_scale_and_repeats(order):
+    order = MonomialOrder.parse(order)
+    rng = random.Random(41)
+    ctx = VarContext(["x", "y", "z"])
+    proper = 0
+    for _ in range(12):
+        gens = [random_polynomial(rng, ctx, 3, max_terms=3, allow_zero=False)
+                for _ in range(rng.randint(2, 3))]
+        gb = buchberger(gens, order)
+        proper += not gb.generators[0].is_constant()
+        variants = (
+            rng.sample(gens, len(gens)),
+            [g * Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) for g in gens],
+            gens + [rng.choice(gens) * Fraction(-2, 3)] + gens[:1],
+        )
+        for variant in variants:
+            other = buchberger(variant, order)
+            assert other.generators == gb.generators
+            assert other.stats.basis_size == gb.stats.basis_size
+    assert proper >= 6
+
+
+@pytest.mark.parametrize("split, reductions, pairs", [(1, 39, 15), (2, 119, 23)])
+def test_elimination_basis_work_counts_are_pinned(split, reductions, pairs):
+    # the reduction steps and their order are part of the contract: the
+    # golden reports print these counts
+    ctx = VarContext(["x", "y", "z", "w"])
+    gens = [parse_polynomial(t, ctx)
+            for t in ("x^2 - y*z + 1", "x*y - w^2 + 2*z", "y^2 - 3*z*w + x")]
+    gb = buchberger(gens, MonomialOrder("elim", block_split=split))
+    assert (gb.stats.reductions, gb.stats.pairs_processed, gb.stats.basis_size) == (
+        reductions, pairs, 7)
 
 
 # ---------------------------------------------------------------------------
