@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from . import venereau as vn
 from .derivation import (
+    DEFAULT_NILPOTENCY_CAP,
     Derivation,
     InvalidSliceError,
     KernelMembershipError,
@@ -45,7 +46,6 @@ from .poly import (
     ContextMismatchError,
     ExponentOverflowError,
     MonomialOrder,
-    Polynomial,
     VarContext,
 )
 from .slice_kernel import certify_polynomial_ring, check_stably_free_shadow, kernel_from_slice
@@ -61,11 +61,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _context(args) -> VarContext:
-    names = [n.strip() for n in args.vars.split(",") if n.strip()]
-    coeff = []
-    if getattr(args, "coeff_vars", None):
-        coeff = [n.strip() for n in args.coeff_vars.split(",") if n.strip()]
-    return VarContext(names, coeff_block=coeff)
+    def names(text):
+        return [n.strip() for n in text.split(",") if n.strip()]
+    return VarContext(names(args.vars), coeff_block=names(getattr(args, "coeff_vars", "")))
 
 
 def _budget(args) -> Budget:
@@ -101,7 +99,7 @@ class Reporter:
             print("%s: %s%s" % (report.check, report.verdict, extra))
 
     def exit_code(self) -> int:
-        return {"pass": 0, "fail": 1, "undetermined": 2}[_worst(*self.verdicts)]
+        return {"pass": 0, "fail": 1, "undetermined": 2}[vn.worst_verdict(*self.verdicts)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +229,9 @@ def _cmd_lnd(args, rep: Reporter):
     result = certify_polynomial_ring(result, _budget(args))
     result = check_stably_free_shadow(result)
     payload = result.to_dict()
-    worst = _worst(result.generation_verdict, result.pair_verdict,
-                   result.stably_free_verdict)
+    worst = vn.worst_verdict(result.generation_verdict, result.pair_verdict,
+                             result.stably_free_verdict)
     rep.emit("lnd.kernel", worst, payload)
-
-
-def _worst(*verdicts) -> str:
-    if any(v == "fail" for v in verdicts):
-        return "fail"
-    if any(v in ("undetermined", "not-run") for v in verdicts):
-        return "undetermined"
-    return "pass"
 
 
 def _make_spec(args) -> vn.VenereauSpec:
@@ -285,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-degree", type=int, default=None)
         p.add_argument("--budget-basis", type=int, default=None)
 
-    def common(p, coeff=True, budget=True, order=True):
+    def common(p, coeff=False, budget=True, order=True):
         p.add_argument("--vars", required=True, help="comma-separated variable names")
         if coeff:
             p.add_argument("--coeff-vars", default="",
@@ -322,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     mem = sub.add_parser("member").add_subparsers(dest="kind", required=True)
     for kind in ("ideal", "subalgebra"):
         p = mem.add_parser(kind)
-        common(p)
+        common(p, coeff=(kind == "subalgebra"), order=(kind == "ideal"))
         p.add_argument("--f", required=True, help="polynomial to test")
         p.add_argument("--gens", required=True, help="comma-separated generators")
         if kind == "subalgebra":
@@ -338,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "apply":
             p.add_argument("--f", required=True)
         if action == "nilpotent":
-            p.add_argument("--cap", type=int, default=64)
+            p.add_argument("--cap", type=int, default=DEFAULT_NILPOTENCY_CAP)
         if action == "exp":
             p.add_argument("--t", required=True, help="kernel parameter")
         if action in ("dixmier", "kernel"):

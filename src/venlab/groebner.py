@@ -46,7 +46,13 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for Groebner computations; any breach aborts loudly."""
+    """Caps for Groebner computations; any breach aborts loudly.
+
+    `max_degree` bounds the total degree of the input generators, of every
+    S-pair lcm and of every product term formed during a reduction.  It
+    does not bound the other terms of an S-polynomial: under lex and elim
+    these can pass the cap, and the packed keys then widen to hold them.
+    """
 
     max_degree: int = 40
     max_basis: int = 5000
@@ -509,7 +515,8 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
     costs one normal form and one re-check of its witness by
     `witness_identity_holds`.  Budget exhaustion yields status
     'undetermined' (for every target when the basis itself runs out), as
-    does a witness that fails its re-check; never a wrong boolean.
+    does a witness that fails its re-check; never a wrong boolean.  An
+    `invert` outside the coefficient block raises ValueError.
     """
     if not targets:
         return
@@ -517,8 +524,9 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
     for g in list(targets) + list(gens):
         if g.ctx != ctx:
             raise ContextMismatchError("targets and generators must share one context")
-    if invert is not None and invert not in ctx:
-        raise KeyError("unknown variable %r" % invert)
+    if invert is not None and invert not in ctx.coeff_block:
+        raise ValueError("cannot invert %r: not in the coefficient block %r"
+                         % (invert, ctx.coeff_block))
     coeff = set(ctx.coeff_block)
     elim = [n for n in ctx.names if n not in coeff]
     low = [n for n in ctx.names if n in coeff]

@@ -5,9 +5,9 @@ per variable of a `VarContext`, to nonzero `fractions.Fraction` values,
 so every operation is exact and canonical (gcd-reduced, positive
 denominator) by construction; `int` inputs are coerced on the way in.
 Integer coefficients and packed monomial keys exist only inside the
-product kernel (`_mul_into` and its helpers), which serves `*` and
-substitution, and inside the Buchberger engine in `groebner`; both hand
-back one `Fraction` per output term.
+product kernel (`_mul_into` and its helpers), which serves `*`, `**`
+and substitution, and inside the Buchberger engine in `groebner`; both
+hand back one `Fraction` per output term.
 
 A context may designate a prefix of its variables as the coefficient
 block: those play the role of the base ring R in R[fiber variables] and
@@ -108,35 +108,6 @@ class VarContext:
             self.names + tuple(extra),
             self.coeff_block if coeff_block is None else coeff_block,
         )
-
-
-# ---------------------------------------------------------------------------
-# monomial helpers (exponent tuples)
-
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    out = tuple(x + y for x, y in zip(a, b))
-    for e in out:
-        if e > EXPONENT_LIMIT:
-            raise ExponentOverflowError("exponent %d exceeds limit" % e)
-    return out
-
-
-def mono_divides(a: tuple, b: tuple) -> bool:
-    """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: tuple, b: tuple) -> tuple:
-    """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_deg(a: tuple) -> int:
-    return sum(a)
 
 
 # ---------------------------------------------------------------------------
@@ -331,33 +302,20 @@ class Polynomial:
         mono[ctx.index(name)] = 1
         return cls(ctx, {tuple(mono): 1})
 
-    @classmethod
-    def variables(cls, ctx: VarContext) -> dict:
-        """All generators as a name -> Polynomial dict (handy in tests)."""
-        return {n: cls.variable(ctx, n) for n in ctx.names}
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(mono_deg(m) == 0 for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        """The rational value of a constant polynomial."""
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial %s is not constant" % self)
-        return next(iter(self.terms.values()))
+        return all(sum(m) == 0 for m in self.terms)
 
     def degree(self, var: str = None):
         """Total degree, or degree in one variable; -inf for the zero polynomial."""
         if not self.terms:
             return NEG_INFINITY
         if var is None:
-            return max(mono_deg(m) for m in self.terms)
+            return max(map(sum, self.terms))
         i = self.ctx.index(var)
         return max(m[i] for m in self.terms)
 
@@ -443,16 +401,17 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, n: int):
+        """self^n through the product kernel, cleared and packed once.
+
+        The fields are sized for n times the top exponents, which is the
+        overflow check; p ** 0 is 1 for every p, the zero polynomial too.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        terms, den = clear_denominators(self.terms)
+        fields = _fields([n * e for e in _max_exponents(terms) or [0] * self.ctx.arity])
+        acc = dict(_power({0: [(0, 1)]}, _pack(terms, fields), n))
+        return Polynomial._trusted(self.ctx, _unpack(acc, fields, den ** n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -471,18 +430,9 @@ class Polynomial:
     def partial(self, var: str) -> "Polynomial":
         """Formal partial derivative with respect to `var`."""
         i = self.ctx.index(var)
-        terms = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            m = mono[:i] + (e - 1,) + mono[i + 1:]
-            s = terms.get(m, 0) + c * e
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Polynomial(self.ctx, terms)
+        return Polynomial._trusted(self.ctx, {
+            mono[:i] + (mono[i] - 1,) + mono[i + 1:]: c * mono[i]
+            for mono, c in self.terms.items() if mono[i]})
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Ring-homomorphism image; unmentioned variables map to themselves.
@@ -509,41 +459,28 @@ class Polynomial:
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point covering every used variable."""
-        total = Fraction(0)
-        idx = [self.ctx.index(n) for n in self.ctx.names]
-        vals = []
+        used = self.variables_used()
         for n in self.ctx.names:
-            vals.append(_coerce(point[n]) if n in point else None)
-        for mono, c in self.terms.items():
-            v = Fraction(c)
-            for i in idx:
-                e = mono[i]
-                if e:
-                    if vals[i] is None:
-                        raise KeyError("no value for variable %r" % self.ctx.names[i])
-                    v *= vals[i] ** e
-            total += v
-        return total
+            if n in used and n not in point:
+                raise KeyError("no value for variable %r" % n)
+        images = {n: Polynomial.constant(self.ctx, point[n]) for n in self.ctx.names if n in point}
+        return self.substitute(images).coefficient((0,) * self.ctx.arity)
 
     def rename_context(self, new_ctx: VarContext) -> "Polynomial":
         """The same polynomial viewed in a context containing all used variables."""
-        perm = {}
-        for i, n in enumerate(self.ctx.names):
-            if n in new_ctx:
-                perm[i] = new_ctx.index(n)
+        perm = [new_ctx.index(n) if n in new_ctx else None for n in self.ctx.names]
         terms = {}
         for mono, c in self.terms.items():
             out = [0] * new_ctx.arity
             for i, e in enumerate(mono):
                 if e:
-                    if i not in perm:
+                    if perm[i] is None:
                         raise ContextMismatchError(
                             "variable %r is used but missing from the new context"
                             % self.ctx.names[i])
                     out[perm[i]] = e
-            m = tuple(out)
-            terms[m] = terms.get(m, 0) + c
-        return Polynomial(new_ctx, terms)
+            terms[tuple(out)] = c
+        return Polynomial._trusted(new_ctx, terms)
 
     # -- printing -----------------------------------------------------
 

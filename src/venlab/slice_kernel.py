@@ -15,6 +15,7 @@ The certification is an honest semi-decision: a miss reports
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .derivation import Derivation, Slice, dixmier_projection
@@ -147,13 +148,8 @@ def certify_polynomial_ring(result: SliceKernelResult,
 def _jacobian_rank2(gi: Polynomial, gj: Polynomial, fiber: Sequence[str]) -> bool:
     """Rank-2 test via nonvanishing of some 2x2 minor of the 2xN Jacobian."""
     mat = jacobian_matrix([gi, gj], fiber)
-    n = len(fiber)
-    for a in range(n):
-        for b in range(a + 1, n):
-            det = mat[0][a] * mat[1][b] - mat[0][b] * mat[1][a]
-            if not det.is_zero():
-                return True
-    return False
+    return any(not matrix_det([[row[a], row[b]] for row in mat]).is_zero()
+               for a, b in combinations(range(len(fiber)), 2))
 
 
 def check_stably_free_shadow(result: SliceKernelResult) -> SliceKernelResult:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groebner import Budget, MembershipResult, subalgebra_members
+from .groebner import Budget, DEFAULT_BUDGET, MembershipResult, subalgebra_members
 from .parse import format_polynomial, parse_polynomial
 from .poly import Polynomial, VarContext, jacobian_det
 
@@ -35,10 +35,6 @@ MAIN_CONTEXT = VarContext(["x", "y", "z", "u"], coeff_block=["x"])
 #: Context in which the shape polynomial Q is written: x plus two
 #: placeholders standing for v and w.
 Q_CONTEXT = VarContext(["x", "V", "W"])
-
-#: Default Groebner budget for the localized check; generous for the
-#: named families, degrades to Undetermined on blowup.
-LOCALIZED_BUDGET = Budget(max_degree=40, max_basis=5000)
 
 #: Default fiber sample points (c, d) for the morphism (x, h).
 FIBER_SAMPLES = tuple((c, d) for c in (0, 1, -1, 2) for d in (0, 1))
@@ -89,9 +85,14 @@ class CheckReport:
             "stats": self.stats,
         }
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+
+def worst_verdict(*verdicts) -> str:
+    """The one verdict order: any fail, else any undetermined or not-run, else pass."""
+    if any(v == "fail" for v in verdicts):
+        return "fail"
+    if any(v in ("undetermined", "not-run") for v in verdicts):
+        return "undetermined"
+    return "pass"
 
 
 def _as_x_polynomial(f) -> Polynomial:
@@ -208,7 +209,7 @@ def check_residual(spec: VenereauSpec) -> CheckReport:
     })
 
 
-def check_localized(spec: VenereauSpec, budget: Budget = LOCALIZED_BUDGET) -> CheckReport:
+def check_localized(spec: VenereauSpec, budget: Budget = DEFAULT_BUDGET) -> CheckReport:
     """Pass iff y, z, u all lie in Q[x]_x[h, v, w], with re-validated witnesses."""
     gens = [spec.h, spec.v, spec.w]
     names = ("y", "z", "u")
@@ -263,7 +264,7 @@ def check_jacobian(spec: VenereauSpec) -> CheckReport:
 
 
 def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
-                 budget: Budget = LOCALIZED_BUDGET,
+                 budget: Budget = DEFAULT_BUDGET,
                  localized: Optional[CheckReport] = None) -> CheckReport:
     """Fiber checks for the morphism (x, h) at rational points (c, d).
 
@@ -279,7 +280,6 @@ def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
     if localized is None:
         localized = check_localized(spec, budget)
     per_sample = {}
-    verdict = "pass"
     h0 = spec.h.substitute({"x": Polynomial.zero(spec.ctx)})
     y = Polynomial.variable(spec.ctx, "y")
     for c, d in samples:
@@ -292,19 +292,12 @@ def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
                 "verdict": "pass" if ok else "fail",
                 "fiber_ring": "Q[z,u] after eliminating y" if ok else None,
             }
-            if not ok:
-                verdict = "fail"
+        elif localized.verdict == "undetermined":
+            per_sample[key] = {"regime": "localized", "verdict": "undetermined",
+                               "detail": "localized identity undetermined"}
+        elif localized.verdict == "fail":
+            per_sample[key] = {"regime": "localized", "verdict": "fail"}
         else:
-            if localized.verdict == "undetermined":
-                per_sample[key] = {"regime": "localized", "verdict": "undetermined",
-                                   "detail": "localized identity undetermined"}
-                if verdict == "pass":
-                    verdict = "undetermined"
-                continue
-            if localized.verdict == "fail":
-                per_sample[key] = {"regime": "localized", "verdict": "fail"}
-                verdict = "fail"
-                continue
             ok = _fiber_witnesses_hold(spec, localized, c)
             per_sample[key] = {
                 "regime": "localized",
@@ -312,8 +305,7 @@ def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
                 "fiber_ring": "plane in (v,w) coordinates" if ok else None,
                 "note": "corollary of the localized coordinate identity",
             }
-            if not ok:
-                verdict = "fail"
+    verdict = worst_verdict(*(sample["verdict"] for sample in per_sample.values()))
     return CheckReport("fibers", verdict, witnesses=per_sample,
                        stats={"samples": len(per_sample)})
 
@@ -331,7 +323,7 @@ def _fiber_witnesses_hold(spec: VenereauSpec, localized: CheckReport, c: Fractio
 
 
 def run_checks(spec: VenereauSpec, checks: Sequence[str] = ("residual", "localized", "jacobian", "fibers"),
-               budget: Budget = LOCALIZED_BUDGET,
+               budget: Budget = DEFAULT_BUDGET,
                samples: Sequence[tuple] = FIBER_SAMPLES) -> list:
     """Run the named checks in order, sharing the localized result with fibers."""
     reports = []

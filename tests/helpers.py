@@ -13,8 +13,33 @@ import itertools
 import random
 from fractions import Fraction
 
-from venlab.poly import Polynomial, PolyMap, VarContext, mono_mul
+from venlab.poly import EXPONENT_LIMIT, ExponentOverflowError, Polynomial, PolyMap, VarContext
 from venlab.derivation import Derivation
+
+
+# ---------------------------------------------------------------------------
+# monomial helpers (exponent tuples)
+
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    out = tuple(x + y for x, y in zip(a, b))
+    for e in out:
+        if e > EXPONENT_LIMIT:
+            raise ExponentOverflowError("exponent %d exceeds limit" % e)
+    return out
+
+
+def mono_divides(a: tuple, b: tuple) -> bool:
+    """True if monomial a divides monomial b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div(a: tuple, b: tuple) -> tuple:
+    """a / b, assuming b divides a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +193,18 @@ def naive_product(a: dict, b: dict) -> dict:
             m = tuple(x + y for x, y in zip(ma, mb))
             out[m] = out.get(m, Fraction(0)) + Fraction(ca) * Fraction(cb)
     return {m: c for m, c in out.items() if c}
+
+
+def naive_evaluate(f: Polynomial, point: dict) -> Fraction:
+    """The value of f at `point`, one Fraction product per factor of each term."""
+    total = Fraction(0)
+    for mono, c in f.terms.items():
+        value = Fraction(c)
+        for name, e in zip(f.ctx.names, mono):
+            if e:
+                value *= Fraction(point[name]) ** e
+        total += value
+    return total
 
 
 def naive_substitute(f: Polynomial, images: dict) -> dict:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, report format, exit codes."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -193,6 +194,16 @@ def test_member_subalgebra_failed_witness_exit_2(capsys, monkeypatch):
     (rec,) = json_lines(out)
     assert rec["verdict"] == "undetermined"
     assert rec["stats"]["detail"] == "witness failed re-substitution"
+
+
+def test_member_subalgebra_inverting_a_fiber_variable_is_usage_error():
+    proc = _run_module("venlab.cli", "--json", "member", "subalgebra", "--vars", "x,z",
+                       "--invert", "z", "--f", "z", "--gens", "x z")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("venlab: error:")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_member_subalgebra_nonmember(capsys):
@@ -422,3 +433,64 @@ def test_zero_budget_is_usage_error(capsys, dfile, command, option):
     assert code == 3
     assert out == ""
     assert "budget caps must be positive" in err
+
+
+# ---------------------------------------------------------------------------
+# option surface: each option is declared where it changes the result
+
+VENEREAU_SPEC = ["--family", "--n", "--r", "--s", "--Q", "--Q2"]
+BUDGET = ["--budget-degree", "--budget-basis"]
+
+#: Option strings of every command, help aside.
+OPTIONS = {
+    "": ["--json"],
+    "poly print": ["--vars", "--order"],
+    "poly diff": ["--vars", "--wrt"],
+    "poly eval": ["--vars", "--at"],
+    "poly compose": ["--vars", "--map"],
+    "groebner basis": ["--vars", "--order", *BUDGET, "--emit-basis"],
+    "member ideal": ["--vars", "--order", *BUDGET, "--f", "--gens"],
+    "member subalgebra": ["--vars", "--coeff-vars", *BUDGET, "--f", "--gens", "--invert"],
+    "lnd apply": ["--derivation", "--f"],
+    "lnd nilpotent": ["--derivation", "--cap"],
+    "lnd exp": ["--derivation", "--t"],
+    "lnd dixmier": ["--derivation", "--slice", "--f"],
+    "lnd kernel": ["--derivation", "--slice", *BUDGET],
+    "venereau build": VENEREAU_SPEC,
+    "venereau family": VENEREAU_SPEC,
+    "venereau verify": [*VENEREAU_SPEC, "--checks", *BUDGET],
+}
+
+
+def _option_strings(parser, prefix=()):
+    options = [s for action in parser._actions if not isinstance(action, argparse._HelpAction)
+               for s in action.option_strings]
+    if options:
+        yield " ".join(prefix), sorted(options)
+    for action in parser._actions:
+        if action.choices and hasattr(action.choices, "items"):
+            for name, sub in action.choices.items():
+                yield from _option_strings(sub, prefix + (name,))
+
+
+def test_every_option_is_declared_where_it_is_read():
+    surface = dict(_option_strings(build_parser()))
+    assert surface == {command: sorted(options) for command, options in OPTIONS.items()}
+    assert sum(map(len, surface.values())) == 61
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "print", "--vars", "x", "--coeff-vars", "x", "x"],
+    ["poly", "diff", "--vars", "x", "--coeff-vars", "x", "--wrt", "x", "x"],
+    ["poly", "eval", "--vars", "x", "--coeff-vars", "x", "--at", "x=1", "x"],
+    ["poly", "compose", "--vars", "x", "--coeff-vars", "x", "--map", "x=1", "x"],
+    ["groebner", "basis", "--vars", "x", "--coeff-vars", "x", "x"],
+    ["member", "ideal", "--vars", "x", "--coeff-vars", "x", "--f", "x", "--gens", "x"],
+    ["member", "subalgebra", "--vars", "x", "--order", "lex", "--f", "x", "--gens", "x"],
+], ids=["poly-print", "poly-diff", "poly-eval", "poly-compose", "groebner-basis",
+        "member-ideal", "member-subalgebra-order"])
+def test_removed_options_are_usage_errors(argv):
+    proc = _run_module("venlab.cli", *argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr

@@ -17,9 +17,9 @@ from venlab.groebner import (
     subalgebra_members,
 )
 from venlab.parse import parse_polynomial
-from venlab.poly import MonomialOrder, Polynomial, VarContext, mono_divides, mono_mul
+from venlab.poly import MonomialOrder, Polynomial, VarContext
 
-from helpers import ideal_member_linear, random_polynomial
+from helpers import ideal_member_linear, mono_divides, mono_mul, random_polynomial
 
 XY = VarContext(["x", "y"])
 
@@ -66,7 +66,7 @@ def test_buchberger_criterion_by_exhaustive_s_polynomials():
 
 
 def _s_polynomial(f, g, order):
-    from venlab.poly import mono_div, mono_lcm
+    from helpers import mono_div, mono_lcm
     mf, cf = f.leading_term(order)
     mg, cg = g.leading_term(order)
     lcm = mono_lcm(mf, mg)
@@ -84,7 +84,6 @@ def test_reduced_basis_properties():
         if any(g.is_zero() for g in gens):
             continue
         gb = buchberger(gens)
-        from venlab.poly import mono_divides
         for i, g in enumerate(gb.generators):
             assert g.leading_term(gb.order)[1] == 1  # monic
             for j, other in enumerate(gb.generators):
@@ -339,6 +338,17 @@ def test_subalgebra_with_inverted_variable():
     res = subalgebra_member(z, [x * z], invert="x")
     assert res.status == "member"
     assert res.witness_identity_holds(z, [x * z])
+
+
+@pytest.mark.parametrize("coeff_block", [(), ("x",)], ids=["no-block", "x-block"])
+def test_inverting_a_variable_outside_the_coefficient_block_is_an_error(coeff_block):
+    ctx = VarContext(["x", "z"], coeff_block=coeff_block)
+    x = Polynomial.variable(ctx, "x")
+    z = Polynomial.variable(ctx, "z")
+    with pytest.raises(ValueError, match="coefficient block"):
+        subalgebra_member(z, [x * z], invert="z")
+    with pytest.raises(ValueError, match="coefficient block"):
+        list(subalgebra_members([z, x], [x * z], invert="z"))
 
 
 def test_subalgebra_witness_validates_on_random_instances():

@@ -18,7 +18,7 @@ from venlab.poly import (
 )
 from venlab.parse import ParseError, format_polynomial, parse_polynomial
 
-from helpers import naive_product, naive_substitute
+from helpers import naive_evaluate, naive_product, naive_substitute
 
 CTX = VarContext(["x", "y", "z"])
 X, Y, Z = (Polynomial.variable(CTX, n) for n in "xyz")
@@ -368,3 +368,81 @@ def test_substitute_keeps_a_huge_power_of_a_fixed_variable():
     assert f.substitute({"y": y + 1}).terms == {
         (2**40, 1): Fraction(3), (2**40, 0): Fraction(3), (2**40 + 1, 0): Fraction(1)}
     assert f.substitute({"x": Polynomial.one(ctx)}) == 3 * y + 1
+
+
+# ---------------------------------------------------------------------------
+# powers, evaluation and renaming against term-by-term oracles
+
+def test_power_matches_repeated_pairwise_product():
+    rng = random.Random(4104)
+    for arity in range(1, 5):
+        ctx = _context(arity)
+        operands = [Polynomial.zero(ctx), Polynomial.one(ctx),
+                    Polynomial.constant(ctx, Fraction(-2, 3))]
+        operands += [_operand(rng, ctx, edges=None, max_terms=4, max_degree=3)
+                     for _ in range(12)]
+        for f in operands:
+            expected = {(0,) * arity: Fraction(1)}
+            for n in range(8):
+                power = f ** n
+                assert power.terms == expected, (f, n)
+                _assert_fraction_terms(power)
+                expected = naive_product(expected, f.terms)
+
+
+def test_power_overflow_boundary():
+    ctx = VarContext(["x", "y"])
+    x, y = Polynomial.variable(ctx, "x"), Polynomial.variable(ctx, "y")
+    half = EXPONENT_LIMIT // 2
+    assert (x ** EXPONENT_LIMIT).terms == {(EXPONENT_LIMIT, 0): Fraction(1)}
+    assert ((x ** 2) ** half).terms == {(EXPONENT_LIMIT, 0): Fraction(1)}
+    with pytest.raises(ExponentOverflowError):
+        (x ** 2) ** (half + 1)
+    # n times the top exponent of y decides, not the total degree
+    assert ((-x * y ** 2) ** half).terms == {(half, EXPONENT_LIMIT): Fraction(1)}
+    with pytest.raises(ExponentOverflowError):
+        (-x * y ** 2) ** (half + 1)
+    assert (Polynomial.zero(ctx) ** EXPONENT_LIMIT).is_zero()
+
+
+def test_evaluate_matches_termwise_oracle():
+    rng = random.Random(4105)
+    for arity in range(1, 6):
+        ctx = _context(arity)
+        for _ in range(25):
+            f = _operand(rng, ctx, edges=None, max_degree=5)
+            point = {n: _scalar(rng) if rng.random() < 0.8 else 0 for n in ctx.names}
+            value = f.evaluate(point)
+            assert value == naive_evaluate(f, point)
+            assert type(value) is Fraction
+        assert Polynomial.zero(ctx).evaluate({}) == 0
+
+
+def test_evaluate_names_the_first_missing_variable_in_context_order():
+    f = P("z^2 y + x")
+    assert P("x y").evaluate({"x": 2, "y": Fraction(1, 2)}) == 1
+    with pytest.raises(KeyError, match="no value for variable 'y'"):
+        f.evaluate({"x": 1})
+    with pytest.raises(KeyError, match="no value for variable 'x'"):
+        f.evaluate({})
+
+
+def test_rename_context_round_trip():
+    rng = random.Random(4106)
+    wide = VarContext(["w", "z", "q", "x", "y"], coeff_block=["w"])
+    for _ in range(30):
+        f = _operand(rng, CTX, max_degree=5)
+        g = f.rename_context(wide)
+        assert g.ctx == wide
+        assert g.terms == {
+            tuple(dict(zip(CTX.names, m)).get(n, 0) for n in wide.names): c
+            for m, c in f.terms.items()}
+        _assert_fraction_terms(g)
+        assert g.rename_context(CTX) == f
+
+
+def test_rename_context_needs_every_used_variable():
+    narrow = VarContext(["x", "z"])
+    assert P("x - z^2").rename_context(narrow) == P("x - z^2", narrow)
+    with pytest.raises(ContextMismatchError, match="'y'"):
+        P("x + y z").rename_context(narrow)
