@@ -368,7 +368,9 @@ def main(argv=None) -> int:
     except (ParseError, ContextMismatchError, InvalidSliceError,
             KernelMembershipError, NotCertifiedError, ExponentOverflowError,
             ValueError, KeyError, OSError) as exc:
-        print("venlab: error: %s" % exc, file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print("venlab: error: %s" % message, file=sys.stderr)
         return USAGE_ERROR
     except BudgetExceededError as exc:
         print("venlab: resource budget exceeded: %s" % exc, file=sys.stderr)

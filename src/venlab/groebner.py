@@ -12,7 +12,8 @@ Subalgebra membership f in R[g_1..g_m] uses tag-variable elimination:
 adjoin tags t_i with relations t_i - g_i (and x*x_inv - 1 when a variable
 is inverted), compute a block-elimination basis once per generator set,
 and inspect the normal form of each target f.  The normal form doubles as
-an explicit witness expressing f in the generators.
+an explicit witness expressing f in the generators; it is re-checked by
+substitution unless it equals a certificate, a witness the caller proved.
 
 Every potentially explosive computation runs under a Budget; exhaustion
 raises BudgetExceededError (or surfaces as an 'undetermined' membership
@@ -446,8 +447,10 @@ class MembershipResult:
     the witness failed its re-check).  For members, `witness` expresses f
     in the tag variables (one per generator), the coefficient-block
     variables, and the inverted variable's reciprocal; it has already
-    passed `witness_identity_holds`, which substitutes everything back and
-    keeps the expanded side of the identity in `expansion`.
+    passed `witness_identity_holds`, which keeps the expanded side of the
+    identity in `expansion`.  `certificate`, when a caller supplied one, is
+    (f, gens, expected witness) with the expected witness proved by the
+    caller to map to f; a witness equal to it needs no expansion.
     """
 
     status: str
@@ -460,6 +463,7 @@ class MembershipResult:
     detail: str = ""
     # x^k * f expanded from the witness, set once witness_identity_holds confirmed it
     expansion: Optional[Polynomial] = field(default=None, repr=False, compare=False)
+    certificate: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.status == "member"
@@ -472,18 +476,28 @@ class MembershipResult:
         return self.witness.degree(self.inv_name)
 
     def witness_identity_holds(self, f: Polynomial, gens: Sequence[Polynomial]) -> bool:
-        """Re-validate the witness by pure substitution in the original ring.
+        """Re-validate the witness: x^k * f == witness with tags replaced by
+        the generators and x_inv^j by x^(k-j), where k is the top x_inv power.
 
-        Checks x^k * f == witness with tags replaced by the generators and
-        x_inv^j replaced by x^(k-j), where k is the top x_inv power.
+        A witness equal to the expected witness of a `certificate` issued
+        for this f and these gens holds by the caller's proof, and the
+        identity's expanded side is x^k * f itself.  Any other witness is
+        expanded by pure substitution in the original ring.
         """
         self.expansion = None
         if self.status != "member" or self.witness is None:
             return False
         k = self.inv_power
         witness = self.witness
-        images = dict(zip(self.tag_names, gens))
         target = f
+        if self.inv_name is not None:
+            target = f * Polynomial.variable(f.ctx, self.invert) ** k
+        if self.certificate is not None:
+            cf, cgens, expected = self.certificate
+            if witness == expected and cf == f and cgens == tuple(gens):
+                self.expansion = target
+                return True
+        images = dict(zip(self.tag_names, gens))
         if self.inv_name is not None:
             xi, ii = self.work_ctx.index(self.invert), self.work_ctx.index(self.inv_name)
             terms = {}
@@ -495,7 +509,6 @@ class MembershipResult:
                 terms[m] = terms.get(m, 0) + c
             witness = Polynomial(self.work_ctx, terms)
             images[self.inv_name] = Polynomial.one(f.ctx)
-            target = f * Polynomial.variable(f.ctx, self.invert) ** k
         expansion = witness.substitute(images)
         if expansion != target:
             return False
@@ -503,27 +516,14 @@ class MembershipResult:
         return True
 
 
-def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial],
-                       invert: str = None, budget: Budget = DEFAULT_BUDGET):
-    """Decide each target in R[gens] (R = coefficient block, over Q); yield results.
+def tag_ring(ctx: VarContext, n_gens: int, invert: str = None) -> tuple:
+    """(work_ctx, order, tags, inv_name) of tag-variable elimination over ctx.
 
-    When `invert` names a coefficient-block variable x, membership is
-    decided over R with x made invertible, via a fresh variable x_inv and
-    the relation x*x_inv - 1.  Complete decision procedure by tag-variable
-    elimination.  The basis depends on `gens` and `invert` only, so it is
-    built once, when the first result is requested, and each target then
-    costs one normal form and one re-check of its witness by
-    `witness_identity_holds`.  Budget exhaustion yields status
-    'undetermined' (for every target when the basis itself runs out), as
-    does a witness that fails its re-check; never a wrong boolean.  An
-    `invert` outside the coefficient block raises ValueError.
+    The variables outside the coefficient block come first and form the
+    eliminated block of the elim order; then the coefficient block, the
+    reciprocal x_inv of an inverted variable x, and one tag per generator.
+    An `invert` outside the coefficient block raises ValueError.
     """
-    if not targets:
-        return
-    ctx = targets[0].ctx
-    for g in list(targets) + list(gens):
-        if g.ctx != ctx:
-            raise ContextMismatchError("targets and generators must share one context")
     if invert is not None and invert not in ctx.coeff_block:
         raise ValueError("cannot invert %r: not in the coefficient block %r"
                          % (invert, ctx.coeff_block))
@@ -534,9 +534,38 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
     if invert is not None:
         inv_name = INV_PREFIX + invert
         low.append(inv_name)
-    tags = tuple("%s%d" % (TAG_PREFIX, i) for i in range(len(gens)))
+    tags = tuple("%s%d" % (TAG_PREFIX, i) for i in range(n_gens))
     work_ctx = VarContext(tuple(elim) + tuple(low) + tags)
-    order = MonomialOrder("elim", block_split=len(elim))
+    return work_ctx, MonomialOrder("elim", block_split=len(elim)), tags, inv_name
+
+
+def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial],
+                       invert: str = None, budget: Budget = DEFAULT_BUDGET,
+                       certificates: Sequence[Polynomial] = None):
+    """Decide each target in R[gens] (R = coefficient block, over Q); yield results.
+
+    When `invert` names a coefficient-block variable x, membership is
+    decided over R with x made invertible, via a fresh variable x_inv and
+    the relation x*x_inv - 1.  Complete decision procedure by tag-variable
+    elimination in the ring of `tag_ring`.  The basis depends on `gens` and
+    `invert` only, so it is built once, when the first result is
+    requested, and each target then costs one normal form and one re-check
+    of its witness by `witness_identity_holds`.  `certificates`, if given,
+    holds one expected witness per target in that ring, each proved by the
+    caller to map to its target under tags -> gens and x_inv -> 1/x; a
+    normal form equal to it is accepted without expansion, and any other is
+    expanded as usual.  Budget exhaustion yields status 'undetermined' (for
+    every target when the basis itself runs out), as does a witness that
+    fails its re-check; never a wrong boolean.  An `invert` outside the
+    coefficient block raises ValueError.
+    """
+    if not targets:
+        return
+    ctx = targets[0].ctx
+    for g in list(targets) + list(gens):
+        if g.ctx != ctx:
+            raise ContextMismatchError("targets and generators must share one context")
+    work_ctx, order, tags, inv_name = tag_ring(ctx, len(gens), invert)
 
     relations = []
     for tag, g in zip(tags, gens):
@@ -553,8 +582,8 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
             yield MembershipResult("undetermined", detail=str(exc))
         return
 
-    elim_set = set(elim)
-    for f in targets:
+    elim_set = set(work_ctx.names[:order.block_split])
+    for f, expected in zip(targets, certificates or [None] * len(targets), strict=True):
         try:
             nf = normal_form(f.rename_context(work_ctx), gb, budget)
         except BudgetExceededError as exc:
@@ -572,6 +601,7 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
             stats=gb.stats,
             detail="" if status == "member" else
             "normal form still involves %s" % sorted(leaked),
+            certificate=None if expected is None else (f, tuple(gens), expected),
         )
         if status == "member" and not result.witness_identity_holds(f, gens):
             # a bad witness disproves nothing

@@ -11,7 +11,9 @@ Construction, over k[x][y,z,u]:
 With this w one has the exact identity  x^2 p = y w + v^2 + r x v + s x^2,
 which is what makes (h, v, w) a coordinate system of k[x]_x[y,z,u]; the
 checks below verify that identity's consequences algorithmically and
-produce explicit witnesses.
+produce explicit witnesses.  The identity also gives those witnesses in
+closed form, and a Groebner witness equal to that form is certified
+without re-expanding it (see `_chain_witnesses`).
 
 Checks: residual coordinate at x = 0, localized coordinate system over
 k[x] with x inverted (Groebner subalgebra membership with witnesses),
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groebner import Budget, DEFAULT_BUDGET, MembershipResult, subalgebra_members
+from .groebner import Budget, DEFAULT_BUDGET, MembershipResult, subalgebra_members, tag_ring
 from .parse import format_polynomial, parse_polynomial
 from .poly import Polynomial, VarContext, jacobian_det
 
@@ -210,14 +212,21 @@ def check_residual(spec: VenereauSpec) -> CheckReport:
 
 
 def check_localized(spec: VenereauSpec, budget: Budget = DEFAULT_BUDGET) -> CheckReport:
-    """Pass iff y, z, u all lie in Q[x]_x[h, v, w], with re-validated witnesses."""
+    """Pass iff y, z, u all lie in Q[x]_x[h, v, w], with re-validated witnesses.
+
+    When the spec satisfies the four identities of `_chain_witnesses`,
+    each Groebner witness is matched against its closed-form chain and,
+    when equal, needs no expansion; otherwise (a corrupted spec, or a
+    witness that differs) it is re-checked by substitution.
+    """
     gens = [spec.h, spec.v, spec.w]
     names = ("y", "z", "u")
     targets = [Polynomial.variable(spec.ctx, name) for name in names]
     witnesses = {}
     stats = {}
     data = {}
-    results = subalgebra_members(targets, gens, invert="x", budget=budget)
+    results = subalgebra_members(targets, gens, invert="x", budget=budget,
+                                 certificates=_chain_witnesses(spec))
     for name, result in zip(names, results):
         stats[name] = _membership_stats(result)
         if result.status != "member":
@@ -227,6 +236,59 @@ def check_localized(spec: VenereauSpec, budget: Budget = DEFAULT_BUDGET) -> Chec
         witnesses[name] = _witness_payload(result)
         data[name] = result
     return CheckReport("localized", "pass", witnesses=witnesses, stats=stats, data=data)
+
+
+def _chain_witnesses(spec: VenereauSpec) -> Optional[list]:
+    """Closed-form witnesses of y, z, u in the tag ring, or None.
+
+    None unless these identities hold on the spec itself:
+
+        h - y   = x Q(x, v, w)
+        x^2 p   = y w + v^2 + r x v + s x^2
+        x z     = v - y p
+        x^2 u   = w + x (2z + r) p + y p^2
+
+    Then, with tags t0, t1, t2 for h, v, w, the chain
+
+        y_T = t0 - x Q(x, t1, t2)
+        p_T = (y_T t2 + t1^2 + r x t1 + s x^2) x_inv^2
+        z_T = (t1 - y_T p_T) x_inv
+        u_T = (t2 + x (2 z_T + r) p_T + y_T p_T^2) x_inv^2
+
+    maps to y, p, z, u under t -> (h, v, w), x_inv -> 1/x, one identity
+    per step.  Products are taken with x * x_inv cancelled, the form of a
+    normal form modulo x * x_inv - 1.
+    """
+    ctx = spec.ctx
+    x, y, z, u = (Polynomial.variable(ctx, n) for n in ("x", "y", "z", "u"))
+    r, s, p, v, w = spec.r, spec.s, spec.p, spec.v, spec.w
+    if (spec.h - y != x * spec.Q.substitute({"x": x, "V": v, "W": w})
+            or x ** 2 * p != y * w + v ** 2 + r * x * v + s * x ** 2
+            or x * z != v - y * p
+            or x ** 2 * u != w + x * (2 * z + r) * p + y * p ** 2):
+        return None
+    work_ctx, _, tags, inv_name = tag_ring(ctx, 3, "x")
+    xi, ii = work_ctx.index("x"), work_ctx.index(inv_name)
+
+    def over_x(f: Polynomial, k: int) -> Polynomial:
+        """f * x^-k with every x * x_inv cancelled."""
+        terms = {}
+        for mono, c in f.terms.items():
+            e = mono[xi] - mono[ii] - k
+            m = list(mono)
+            m[xi], m[ii] = max(e, 0), max(-e, 0)
+            m = tuple(m)
+            terms[m] = terms.get(m, 0) + c
+        return Polynomial(work_ctx, terms)
+
+    t0, t1, t2 = (Polynomial.variable(work_ctx, t) for t in tags)
+    X = Polynomial.variable(work_ctx, "x")
+    r, s = r.rename_context(work_ctx), s.rename_context(work_ctx)
+    y_T = t0 - X * spec.Q.substitute({"x": X, "V": t1, "W": t2})
+    p_T = over_x(y_T * t2 + t1 ** 2 + r * X * t1 + s * X ** 2, 2)
+    z_T = over_x(t1 - y_T * p_T, 1)
+    u_T = over_x(t2 + X * (2 * z_T + r) * p_T + y_T * p_T ** 2, 2)
+    return [y_T, z_T, u_T]
 
 
 def _membership_stats(result: MembershipResult) -> dict:

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the code paths they check:
 membership by degree-bounded exact linear algebra (no Groebner bases),
 determinants by permutation expansion (no cofactor recursion), shifts by
 direct substitution (no Taylor iteration), products and substitution pair
-by pair over Fractions (no packed integer kernel).
+by pair over Fractions (no packed integer kernel), localized witnesses by
+their closed-form chain over Laurent tuples (no Groebner basis).
 """
 
 from __future__ import annotations
@@ -223,6 +224,51 @@ def naive_substitute(f: Polynomial, images: dict) -> dict:
         for m, v in term.items():
             total[m] = total.get(m, Fraction(0)) + v
     return {m: c for m, c in total.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# oracle 5: the localized witnesses of a Venereau-type spec in closed form
+#
+# A term dict here maps (a, i, j, k) to a Fraction for x^a t0^i t1^j t2^k,
+# where a < 0 is a power of 1/x, so x * (1/x) cancels by itself.  Tags
+# t0, t1, t2 stand for h, v, w.  Like oracle 4 this reads only `.terms`.
+
+def _laurent_sum(*parts) -> dict:
+    """Sum of the term dicts in `parts`, each given as (scale, term dict)."""
+    out = {}
+    for scale, terms in parts:
+        for m, c in terms.items():
+            out[m] = out.get(m, Fraction(0)) + scale * c
+    return {m: c for m, c in out.items() if c}
+
+
+def localized_chain(r: Polynomial, s: Polynomial, Q: Polynomial) -> dict:
+    """The witnesses of y, z and u in Q[x, 1/x][t0, t1, t2], by name.
+
+    r and s are in x alone (x first in their context), Q is in (x, V, W).
+    The chain follows x^2 p = y w + v^2 + r x v + s x^2:
+
+        y_T = t0 - x Q(x, t1, t2)
+        p_T = (y_T t2 + t1^2 + r x t1 + s x^2) / x^2
+        z_T = (t1 - y_T p_T) / x
+        u_T = (t2 + x (2 z_T + r) p_T + y_T p_T^2) / x^2
+    """
+    def x_to(a):
+        return {(a, 0, 0, 0): Fraction(1)}
+
+    t0, t1, t2 = ({m: Fraction(1)} for m in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    rr = {(m[0], 0, 0, 0): Fraction(c) for m, c in r.terms.items()}
+    ss = {(m[0], 0, 0, 0): Fraction(c) for m, c in s.terms.items()}
+    qq = {(m[0], 0, m[1], m[2]): Fraction(c) for m, c in Q.terms.items()}
+    y = _laurent_sum((1, t0), (-1, naive_product(x_to(1), qq)))
+    p = naive_product(x_to(-2), _laurent_sum(
+        (1, naive_product(y, t2)), (1, naive_product(t1, t1)),
+        (1, naive_product(rr, naive_product(x_to(1), t1))), (1, naive_product(ss, x_to(2)))))
+    z = naive_product(x_to(-1), _laurent_sum((1, t1), (-1, naive_product(y, p))))
+    u = naive_product(x_to(-2), _laurent_sum(
+        (1, t2), (1, naive_product(naive_product(x_to(1), _laurent_sum((2, z), (1, rr))), p)),
+        (1, naive_product(y, naive_product(p, p)))))
+    return {"y": y, "z": z, "u": u}
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,18 @@ def test_exponent_overflow_in_arithmetic_is_usage_error(argv):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["eval", "--vars", "x,y", "--at", "y=1", "x y"],
+     "venlab: error: no value for variable 'x'"),
+    (["diff", "--vars", "x,y", "--wrt", "q", "x y"],
+     "venlab: error: unknown variable 'q' in context ('x', 'y')"),
+], ids=["eval-missing-coordinate", "diff-unknown-variable"])
+def test_key_error_prints_its_message(argv, line):
+    proc = _run_module("venlab.cli", "poly", *argv)
+    assert proc.returncode == 3
+    assert proc.stderr == line + "\n"
+
+
 def test_poly_eval_repeated_coordinate_is_usage_error(capsys):
     code, out, err = run(capsys, "--json", "poly", "eval",
                          "--vars", "x,y", "--at", "x=1,y=2, x=2", "x y")

@@ -1,8 +1,13 @@
 """Venereau-type specs: construction formulas, checks, negative controls."""
 
+import hashlib
+import random
+from dataclasses import replace
+
 import pytest
 
-from venlab import groebner
+from helpers import localized_chain
+from venlab import cli, groebner
 from venlab.groebner import Budget
 from venlab.parse import parse_polynomial
 from venlab.poly import Polynomial, VarContext
@@ -11,6 +16,7 @@ from venlab.venereau import (
     MAIN_CONTEXT,
     Q_CONTEXT,
     VenereauSpec,
+    _chain_witnesses,
     build,
     check_fibers,
     check_jacobian,
@@ -247,3 +253,135 @@ def test_corrupted_keeps_original_intact():
     assert bad.label.endswith("corrupted")
     assert spec.h != bad.h
     assert check_residual(spec).verdict == "pass"
+
+
+# ---------------------------------------------------------------------------
+# the closed-form chain as witness certificate
+
+#: (r, s) of the daigle-freudenburg specs, n = 1.
+DF_PAIRS = (("1", "x"), ("2", "x"), ("x", "x"), ("2*x", "2"), ("x^2", "1"), ("x^2", "2"))
+
+#: Monomials of the seeded lewis shapes Q.
+LEWIS_MONOMIALS = ("1", "x", "V", "W", "x*V", "x*W", "V^2", "V*W", "W^2")
+
+#: Specs given by (r, s, Q) directly.
+CUSTOM_SPECS = {
+    "Q=W": ("0", "0", "W"),
+    "generic": ("x", "1", "V + W"),
+    "stress": ("x^2+1", "x", "V+W+V^2"),
+    "stress-2": ("x^2+1", "x", "V+W+V^2+W^2"),
+    "stress-3": ("x^2+1", "x", "V^3+W^2"),
+    "stress-4": ("x^3+x", "x^2-1", "V^2+W^2+V W"),
+}
+
+
+def _chain_specs(seed: int) -> list:
+    rng = random.Random(seed)
+    specs = [family("venereau", n) for n in range(1, 9)]
+    specs += [family("bhatwadekar-dutta", n) for n in range(1, 4)]
+    specs += [family("daigle-freudenburg", 1, r=r, s=s) for r, s in DF_PAIRS]
+    for _ in range(7):
+        Q = sum((rng.choice((-2, -1, 1, 2)) * parse_polynomial(mono, Q_CONTEXT)
+                 for mono in rng.sample(LEWIS_MONOMIALS, 2)), Polynomial.zero(Q_CONTEXT))
+        Q2 = rng.choice((-1, 1, 2)) * parse_polynomial(rng.choice(("1", "x", "V", "W")), Q_CONTEXT)
+        specs.append(replace(family("lewis", Q=Q, Q2=Q2), label="lewis Q=%s Q2=%s" % (Q, Q2)))
+    specs += [build(r, s, Q, label=label) for label, (r, s, Q) in CUSTOM_SPECS.items()]
+    return specs
+
+
+def _laurent_terms(witness: Polynomial) -> dict:
+    """A tag-ring polynomial's terms keyed (a, i, j, k) as in `localized_chain`."""
+    names = witness.ctx.names
+    xi, ii = names.index("x"), names.index("_inv_x")
+    tags = [names.index(t) for t in ("_t0", "_t1", "_t2")]
+    out = {}
+    for mono, c in witness.terms.items():
+        assert not (mono[xi] and mono[ii]), "x * x_inv left in a normal form"
+        out[(mono[xi] - mono[ii],) + tuple(mono[t] for t in tags)] = c
+    return out
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_normal_form_equals_the_closed_form_chain(monkeypatch, seed):
+    # the witnesses are the normal forms as computed; no re-check runs
+    monkeypatch.setattr(groebner.MembershipResult, "witness_identity_holds",
+                        lambda self, f, gens: True)
+    targets = [Polynomial.variable(MAIN_CONTEXT, name) for name in ("y", "z", "u")]
+    for spec in _chain_specs(seed):
+        chain = localized_chain(spec.r, spec.s, spec.Q)
+        results = groebner.subalgebra_members(targets, [spec.h, spec.v, spec.w], invert="x")
+        for name, result in zip(("y", "z", "u"), results):
+            assert result.status == "member", (spec.label, name)
+            assert _laurent_terms(result.witness) == chain[name], (spec.label, name)
+
+
+def _witness_substitutions(monkeypatch) -> list:
+    """Collect every later Polynomial.substitute call made on a tag-ring polynomial."""
+    calls = []
+    real = Polynomial.substitute
+
+    def counting(self, images):
+        if "_t0" in self.ctx:
+            calls.append(self)
+        return real(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    return calls
+
+
+def test_corrupted_p_passes_through_the_fallback(monkeypatch):
+    # p is not a generator: the coordinate system is intact, the chain is not
+    spec = family("venereau", 1)
+    bad = spec.corrupted(p=spec.p + M("x"))
+    assert _chain_witnesses(bad) is None
+    calls = _witness_substitutions(monkeypatch)
+    assert check_localized(bad).verdict == "pass"
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("overrides", [
+    lambda spec: {"w": spec.w - M("x^2 u")},
+    lambda spec: {"h": spec.h + M("x z^2")},
+], ids=["w-minus-x2u", "h-plus-xz2"])
+def test_corrupted_generators_still_fail(overrides):
+    spec = family("venereau", 1)
+    bad = spec.corrupted(**overrides(spec))
+    assert _chain_witnesses(bad) is None
+    assert check_localized(bad).verdict == "fail"
+
+
+def test_wrong_certificate_falls_back_to_substitution(monkeypatch):
+    spec = family("venereau", 1)
+    gens = [spec.h, spec.v, spec.w]
+    targets = [Polynomial.variable(MAIN_CONTEXT, name) for name in ("y", "z", "u")]
+    chain = _chain_witnesses(spec)
+    calls = _witness_substitutions(monkeypatch)
+    right = list(groebner.subalgebra_members(targets, gens, invert="x", certificates=chain))
+    assert [r.status for r in right] == ["member"] * 3
+    assert calls == []
+    # a certificate speaks only for its own target and generators
+    assert not right[0].witness_identity_holds(targets[1], gens)
+    assert len(calls) == 1
+    del calls[:]
+    wrong = [c + 1 for c in chain]
+    results = list(groebner.subalgebra_members(targets, gens, invert="x", certificates=wrong))
+    assert [r.status for r in results] == ["member"] * 3
+    assert [r.witness for r in results] == [r.witness for r in right]
+    assert len(calls) == 3
+
+
+#: sha256 of `venlab --json venereau verify` stdout, pinned from the re-checking code.
+STRESS_STDOUT_SHA256 = {
+    "stress": "31976e06bc9bf5a3466706e921c63010bdd5f96c7a4f6737df12d0b5516a013c",
+    "stress-2": "5f53f69401ef82c7f546d11a852c3ccf29c23eff9a518180cb994cd61b756c78",
+}
+
+
+@pytest.mark.parametrize("label", sorted(STRESS_STDOUT_SHA256))
+def test_stress_specs_take_the_certificate_path(monkeypatch, capsys, label):
+    r, s, Q = CUSTOM_SPECS[label]
+    calls = _witness_substitutions(monkeypatch)
+    assert cli.main(["--json", "venereau", "verify", "--r", r, "--s", s, "--Q", Q]) == 0
+    assert calls == []
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STRESS_STDOUT_SHA256[label]
