@@ -52,6 +52,9 @@ from .slice_kernel import certify_polynomial_ring, check_stably_free_shadow, ker
 
 USAGE_ERROR = 3
 
+#: The argument parser of `main`, built on its first call.
+_PARSER = None
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -357,9 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     rep = Reporter(args.json)

@@ -18,10 +18,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import add
 from typing import Mapping
 
-from .poly import ContextMismatchError, PolyMap, Polynomial, VarContext
+from .poly import (
+    ContextMismatchError,
+    PolyMap,
+    Polynomial,
+    VarContext,
+    _fields,
+    _max_exponents,
+    _mul_into,
+    _pack,
+    _power,
+    _unpack,
+    clear_denominators,
+)
 
 SHIFT_PREFIX = "_e_"
 
@@ -66,7 +79,7 @@ class NilpotencyCertificate:
 class Derivation:
     """An R-linear derivation of R[fiber variables], given by generator images."""
 
-    __slots__ = ("ctx", "images", "_certificate")
+    __slots__ = ("ctx", "images", "_cleared", "_certificate")
 
     def __init__(self, ctx: VarContext, images: Mapping[str, Polynomial]):
         fiber = ctx.fiber_names
@@ -85,18 +98,39 @@ class Derivation:
                 % sorted(extra))
         self.ctx = ctx
         self.images = imgs
+        # (index, integer terms, denominator, top exponents) of each nonzero image
+        self._cleared = [(ctx.index(name), *clear_denominators(g.terms), _max_exponents(g.terms))
+                         for name, g in imgs.items() if not g.is_zero()]
         self._certificate = None
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        """Apply the derivation: the Leibniz extension of the generator images."""
+        """Apply the derivation: the Leibniz extension of the generator images.
+
+        Every product D(t_i) * df/dt_i goes through the product kernel into
+        one integer accumulator over a common denominator.  Each product's
+        top exponents are checked in variable order as `*` would check them;
+        their maximum sizes the packed fields.
+        """
         if f.ctx != self.ctx:
             raise ContextMismatchError("polynomial is not in the derivation's context")
-        total = Polynomial.zero(self.ctx)
-        for name, image in self.images.items():
-            if image.is_zero():
+        terms, den_f = clear_denominators(f.terms)
+        live = []
+        bounds = [0] * self.ctx.arity
+        den = 1
+        for i, image, den_g, top_g in self._cleared:
+            part = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in terms.items() if m[i]}
+            if not part:
                 continue
-            total = total + image * f.partial(name)
-        return total
+            top = list(map(add, _max_exponents(part), top_g))
+            _fields(top)  # this product's overflow check
+            bounds = list(map(max, bounds, top))
+            den = lcm(den, den_g)
+            live.append((part, image, den_g))
+        fields = _fields(bounds)
+        acc = {}
+        for part, image, den_g in live:
+            _mul_into(acc, _pack(part, fields), _pack(image, fields), den // den_g)
+        return Polynomial._trusted(self.ctx, _unpack(acc, fields, den * den_f))
 
     def power(self, f: Polynomial, r: int) -> Polynomial:
         """D^r(f)."""
@@ -176,19 +210,43 @@ def taylor_term(f: Polynomial, r: int) -> Polynomial:
 
 
 def _exp_series(D: Derivation, a: Polynomial, f: Polynomial) -> Polynomial:
-    """sum_r a^r D^r(f) / r!, finite when D kills f after finitely many steps."""
-    total = Polynomial.zero(f.ctx)
-    apow = Polynomial.one(f.ctx)
-    r = 0
+    """sum_r a^r D^r(f) / r!, finite when D kills f after finitely many steps.
+
+    The iterates D^r(f) come first.  Then every a^r * D^r(f) goes through
+    the product kernel into one integer accumulator over the common
+    denominator of all terms; each product's top exponents are checked in
+    variable order as `*` would check them, and their maximum sizes the
+    packed fields.
+    """
+    iterates = []
     while not f.is_zero():
-        if r > MAX_SERIES_TERMS:
+        if len(iterates) > MAX_SERIES_TERMS:
             raise NotCertifiedError("exponential series did not terminate within %d terms"
                                     % MAX_SERIES_TERMS)
-        total = total + apow * f / factorial(r)
+        iterates.append(f)
         f = D(f)
-        apow = apow * a
-        r += 1
-    return total
+    base, den_a = clear_denominators(a.terms)
+    if not base:
+        del iterates[1:]  # a^r vanishes for r >= 1
+    top_a = _max_exponents(base) or [0] * f.ctx.arity
+    cleared = []
+    bounds = [0] * f.ctx.arity
+    den = 1
+    for r, g in enumerate(iterates):
+        terms, d = clear_denominators(g.terms)
+        d *= den_a ** r * factorial(r)
+        top = [e + r * x for e, x in zip(_max_exponents(terms), top_a)]
+        _fields(top)  # this product's overflow check
+        bounds = list(map(max, bounds, top))
+        den = lcm(den, d)
+        cleared.append((terms, d))
+    fields = _fields(bounds)
+    packed_a = _pack(base, fields)
+    powers = {0: [(0, 1)]}
+    acc = {}
+    for r, (terms, d) in enumerate(cleared):
+        _mul_into(acc, _power(powers, packed_a, r), _pack(terms, fields), den // d)
+    return Polynomial._trusted(f.ctx, _unpack(acc, fields, den))
 
 
 def exp_shift(f: Polynomial) -> Polynomial:

@@ -20,8 +20,19 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
-from .poly import EXPONENT_LIMIT, GREVLEX, MonomialOrder, Polynomial, RESERVED_PREFIX, VarContext
+from .poly import (
+    EXPONENT_LIMIT,
+    GREVLEX,
+    RESERVED_PREFIX,
+    MonomialOrder,
+    Polynomial,
+    VarContext,
+    _fields,
+    _max_exponents,
+)
 
 #: Deepest parenthesis nesting accepted.  Each level costs three frames
 #: of the recursive descent, so this stays well inside Python's recursion
@@ -86,52 +97,76 @@ class _Parser:
 
     # expr := ['-'] term (('+'|'-') term)*
     def expr(self) -> Polynomial:
-        negate = False
+        terms = {}
+        sign = 1
         if self.peek()[:2] == ("op", "-"):
             self.next()
-            negate = True
-        total = self.term()
-        if negate:
-            total = -total
+            sign = -1
+        self.term(terms, sign)
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.next()[1]
-            t = self.term()
-            total = total - t if op == "-" else total + t
-        return total
+            self.term(terms, -1 if self.next()[1] == "-" else 1)
+        return Polynomial._trusted(self.ctx, {m: c for m, c in terms.items() if c})
 
     # term := (coeff | factor) ('*'? (coeff | factor))*
-    def term(self) -> Polynomial:
-        total = self.primary()
+    def term(self, out: dict, sign: int) -> None:
+        """Add sign * (the next term) into the monomial-keyed dict `out`.
+
+        The term is coeff * x^exps * groups: coefficients and powers of
+        variables accumulate directly, and only parenthesised groups are
+        multiplied as polynomials, once every factor is read.  `top` holds
+        the term's top exponents while it is nonzero; going above
+        EXPONENT_LIMIT raises the error that `*` raises, and a zero factor
+        ends the checks, as it does there.
+        """
+        coeff = Fraction(sign)
+        arity = self.ctx.arity
+        exps = [0] * arity
+        top = [0] * arity
+        groups = []
         while True:
+            kind, val, _ = self.peek()
+            if kind == "int":
+                coeff *= self.coeff()
+            elif kind == "ident":
+                i, e = self.factor()
+                exps[i] += e
+                top[i] += e
+            elif kind == "op" and val == "(":
+                g = self.group()
+                if coeff and g.terms:
+                    top = list(map(add, top, _max_exponents(g.terms)))
+                    groups.append(g)
+                else:
+                    coeff = Fraction(0)
+            else:
+                self.error("expected a coefficient, variable or '('")
+            if coeff and max(top) > EXPONENT_LIMIT:
+                _fields(top)  # raises the overflow error of `*`
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                total = total * self.primary()
-            elif kind in ("int", "ident") or (kind == "op" and val == "("):
-                total = total * self.primary()
-            else:
-                return total
+            elif not (kind in ("int", "ident") or (kind == "op" and val == "(")):
+                break
+        if not coeff:
+            return
+        body = reduce(mul, groups).terms if groups else {(0,) * arity: 1}
+        for m, c in body.items():
+            m = tuple(map(add, m, exps))
+            out[m] = out.get(m, 0) + coeff * c
 
-    def primary(self) -> Polynomial:
-        kind, val, _ = self.peek()
-        if kind == "int":
-            return self.coeff()
-        if kind == "ident":
-            return self.factor()
-        if kind == "op" and val == "(":
-            if self.depth == MAX_NESTING:
-                self.error("parentheses nested deeper than %d" % MAX_NESTING)
-            self.next()
-            self.depth += 1
-            inner = self.expr()
-            if self.peek()[:2] != ("op", ")"):
-                self.error("expected ')'")
-            self.next()
-            self.depth -= 1
-            return inner
-        self.error("expected a coefficient, variable or '('")
+    def group(self) -> Polynomial:
+        if self.depth == MAX_NESTING:
+            self.error("parentheses nested deeper than %d" % MAX_NESTING)
+        self.next()
+        self.depth += 1
+        inner = self.expr()
+        if self.peek()[:2] != ("op", ")"):
+            self.error("expected ')'")
+        self.next()
+        self.depth -= 1
+        return inner
 
-    def coeff(self) -> Polynomial:
+    def coeff(self) -> Fraction:
         num = int(self.next()[1])
         if self.peek()[:2] == ("op", "/"):
             self.next()
@@ -140,10 +175,11 @@ class _Parser:
             den = int(self.next()[1])
             if den == 0:
                 self.error("zero denominator")
-            return Polynomial.constant(self.ctx, Fraction(num, den))
-        return Polynomial.constant(self.ctx, num)
+            return Fraction(num, den)
+        return Fraction(num)
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> tuple:
+        """(index, exponent) of a power of a variable."""
         name = self.next()[1]
         if name.startswith(RESERVED_PREFIX):
             self.i -= 1
@@ -151,15 +187,15 @@ class _Parser:
         if name not in self.ctx:
             self.i -= 1
             self.error("unknown variable %r" % name)
-        p = Polynomial.variable(self.ctx, name)
+        i = self.ctx.index(name)
         if self.peek()[:2] == ("op", "^"):
             self.next()
             if self.peek()[0] != "int":
                 self.error("expected an exponent")
             if int(self.peek()[1]) > EXPONENT_LIMIT:
                 self.error("exponent exceeds %d" % EXPONENT_LIMIT)
-            return p ** int(self.next()[1])
-        return p
+            return i, int(self.next()[1])
+        return i, 1
 
 
 def parse_polynomial(text: str, ctx: VarContext) -> Polynomial:

@@ -63,8 +63,12 @@ class VenereauSpec:
         return MAIN_CONTEXT
 
     def corrupted(self, **overrides) -> "VenereauSpec":
-        """A deliberately broken copy, for negative-control tests."""
-        return replace(self, label=(self.label + "+corrupted").lstrip("+"), **overrides)
+        """A deliberately broken copy, for negative-control tests.
+
+        Its label is `label` when one is given, else ``<label>+corrupted``.
+        """
+        overrides.setdefault("label", (self.label + "+corrupted").lstrip("+"))
+        return replace(self, **overrides)
 
 
 @dataclass

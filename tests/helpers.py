@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the code paths they check:
 membership by degree-bounded exact linear algebra (no Groebner bases),
 determinants by permutation expansion (no cofactor recursion), shifts by
-direct substitution (no Taylor iteration), products and substitution pair
-by pair over Fractions (no packed integer kernel), localized witnesses by
-their closed-form chain over Laurent tuples (no Groebner basis).
+direct substitution (no Taylor iteration), products, substitution,
+derivations and exponential series pair by pair over Fractions (no packed
+integer kernel), localized witnesses by their closed-form chain over
+Laurent tuples (no Groebner basis).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 from venlab.poly import EXPONENT_LIMIT, ExponentOverflowError, Polynomial, PolyMap, VarContext
 from venlab.derivation import Derivation
@@ -180,7 +182,8 @@ def shifted_by_substitution(f: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# oracle 4: products and substitution pair by pair over tuples and Fractions
+# oracle 4: products, substitution, derivations and exponential series pair
+# by pair over tuples and Fractions
 #
 # These read and build plain {exponent tuple: Fraction} dicts and never call
 # Polynomial arithmetic, so they share no code with the packed integer
@@ -223,6 +226,47 @@ def naive_substitute(f: Polynomial, images: dict) -> dict:
                 term = naive_product(term, images[name].terms)
         for m, v in term.items():
             total[m] = total.get(m, Fraction(0)) + v
+    return {m: c for m, c in total.items() if c}
+
+
+def naive_derivation(D: Derivation, terms: dict) -> dict:
+    """The term dict of D applied to `terms`, by the Leibniz rule pair by pair.
+
+    Each term c t^m of the input and each term of an image D(t_i) with
+    m_i > 0 give c m_i t^(m - e_i) times that image term.  Monomials are
+    multiplied by `mono_mul`, so an exponent above EXPONENT_LIMIT raises.
+    """
+    out = {}
+    for i, name in enumerate(D.ctx.names):
+        if name not in D.ctx.fiber_names:
+            continue
+        for m, c in terms.items():
+            if not m[i]:
+                continue
+            dm = m[:i] + (m[i] - 1,) + m[i + 1:]
+            for mg, cg in D.images[name].terms.items():
+                k = mono_mul(dm, mg)
+                out[k] = out.get(k, Fraction(0)) + Fraction(c) * m[i] * Fraction(cg)
+    return {m: c for m, c in out.items() if c}
+
+
+def naive_exp_series(D: Derivation, a: dict, terms: dict) -> dict:
+    """The term dict of sum_r a^r D^r(f) / r!, one series term at a time.
+
+    D^r(f) comes from `naive_derivation`, and a^r from `naive_product`
+    only up to the last nonzero D^r(f).
+    """
+    arity = D.ctx.arity
+    total = {}
+    apow = {(0,) * arity: Fraction(1)}
+    r = 0
+    while terms:
+        if r:
+            apow = naive_product(apow, a)
+        for m, c in naive_product(apow, terms).items():
+            total[m] = total.get(m, Fraction(0)) + c / factorial(r)
+        terms = naive_derivation(D, terms)
+        r += 1
     return {m: c for m, c in total.items() if c}
 
 

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from venlab import cli
 from venlab.cli import build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -99,6 +100,45 @@ def test_exponent_overflow_in_arithmetic_is_usage_error(argv):
     assert len(proc.stderr.splitlines()) == 1
 
 
+#: (expression over x, y; exit code; stdout; stderr) of `poly print`.  A
+#: variable whose exponents in one term sum above 2^62 overflows, the first
+#: such variable in --vars order is named, and a zero factor before the
+#: overflowing one makes the term zero without a check.
+OVERFLOW_ACROSS_ATOMS = [
+    ("x^4611686018427387904 * x", 3, "",
+     "venlab: error: exponent 4611686018427387905 exceeds limit\n"),
+    ("x^2305843009213693952 * x^2305843009213693952", 0,
+     "poly.print: pass  x^4611686018427387904\n", ""),
+    ("x^4611686018427387904 (x + 1)", 3, "",
+     "venlab: error: exponent 4611686018427387905 exceeds limit\n"),
+    ("0 x^4611686018427387904 x", 0, "poly.print: pass  0\n", ""),
+    ("x^4611686018427387904 * 0 * x", 0, "poly.print: pass  0\n", ""),
+    ("x^4611686018427387904 x * 0", 3, "",
+     "venlab: error: exponent 4611686018427387905 exceeds limit\n"),
+    ("(y^3) x^4611686018427387903 y^4611686018427387904 y", 3, "",
+     "venlab: error: exponent 4611686018427387907 exceeds limit\n"),
+    ("(x - x) x^4611686018427387904 x", 0, "poly.print: pass  0\n", ""),
+    ("x^4611686018427387904 (y + 1) x", 3, "",
+     "venlab: error: exponent 4611686018427387905 exceeds limit\n"),
+    ("2/3 x^2305843009213693952 (x^2305843009213693952 + y^4611686018427387904) y", 3, "",
+     "venlab: error: exponent 4611686018427387905 exceeds limit\n"),
+    ("y^4611686018427387904 x^4611686018427387899 (y^3 + x^9)", 3, "",
+     "venlab: error: exponent 4611686018427387908 exceeds limit\n"),
+    ("x^4611686018427387904 (y^2305843009213693957) (x y^2305843009213693952)", 3, "",
+     "venlab: error: exponent 4611686018427387905 exceeds limit\n"),
+    ("-x^4611686018427387904 x + y", 3, "",
+     "venlab: error: exponent 4611686018427387905 exceeds limit\n"),
+    ("y + (x^4611686018427387904 x)", 3, "",
+     "venlab: error: exponent 4611686018427387905 exceeds limit\n"),
+]
+
+
+@pytest.mark.parametrize("expr, code, out, err", OVERFLOW_ACROSS_ATOMS,
+                         ids=[e[:32] for e, _, _, _ in OVERFLOW_ACROSS_ATOMS])
+def test_exponent_overflow_across_atoms(capsys, expr, code, out, err):
+    assert run(capsys, "poly", "print", "--vars", "x,y", expr) == (code, out, err)
+
+
 @pytest.mark.parametrize("argv, line", [
     (["eval", "--vars", "x,y", "--at", "y=1", "x y"],
      "venlab: error: no value for variable 'x'"),
@@ -146,6 +186,41 @@ def test_poly_compose(capsys):
     assert code == 0
     (rec,) = json_lines(out)
     assert rec["witnesses"]["image"] == "x^2 + 2*x*y + y^2"
+
+
+#: `main` calls that share one parser.  `--map` appends to a list default,
+#: so a call without it must not see the images of the calls before it, and
+#: a usage error must not leave state behind for the next call.
+SHARED_PARSER_CALLS = [
+    ["--json", "poly", "compose", "--vars", "x,y", "--map", "y=x", "x + y"],
+    ["--json", "poly", "compose", "--vars", "x,y", "--map", "x=y^2", "--map", "y=2", "x y"],
+    ["--json", "poly", "compose", "--vars", "x,y", "x + y"],
+    ["--json", "poly", "compose", "--vars", "x,y", "--bogus", "1", "x"],
+    ["--json", "poly", "compose", "--vars", "x,y", "--map", "x=1", "x + y"],
+    ["--json", "poly", "compose", "--map", "x=1", "x"],
+    ["--json", "poly", "compose", "--vars", "x,y", "x y"],
+]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    shared = [run(capsys, *argv) for argv in SHARED_PARSER_CALLS]
+    assert len(builds) == 1
+    fresh = []
+    for argv in SHARED_PARSER_CALLS:
+        monkeypatch.setattr(cli, "_PARSER", build_parser())
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 3, 0, 3, 0]
+    images = [json_lines(out)[0]["witnesses"]["image"] for code, out, _ in shared if code == 0]
+    assert images == ["2*x", "2*y^2", "x + y", "y + 1", "x*y"]
 
 
 # ---------------------------------------------------------------------------

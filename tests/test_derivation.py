@@ -23,9 +23,15 @@ from venlab.derivation import (
     taylor_term,
 )
 from venlab.parse import parse_polynomial
-from venlab.poly import Polynomial, VarContext
+from venlab.poly import ExponentOverflowError, Polynomial, VarContext
 
-from helpers import random_polynomial, shifted_by_substitution
+from helpers import (
+    naive_derivation,
+    naive_exp_series,
+    random_polynomial,
+    random_triangular_slice_instance,
+    shifted_by_substitution,
+)
 
 CTX = VarContext(["x", "y", "z"])
 X, Y, Z = (Polynomial.variable(CTX, n) for n in "xyz")
@@ -293,6 +299,94 @@ def test_derivation_format_round_trip():
 def test_parse_derivation_bad_line():
     with pytest.raises(ValueError):
         parse_derivation("d/dx = 1\n")
+
+
+# ---------------------------------------------------------------------------
+# the accumulator paths against the pair-by-pair oracle
+
+COEFF_CTX = VarContext(["a", "b", "x", "y"], coeff_block=["a", "b"])
+
+
+def _random_derivation(rng, ctx, max_degree):
+    """Images of the fiber variables, each zero with probability 1/3."""
+    return Derivation(ctx, {n: Polynomial.zero(ctx) if rng.random() < 1 / 3
+                            else random_polynomial(rng, ctx, max_degree)
+                            for n in ctx.fiber_names})
+
+
+@pytest.mark.parametrize("ctx", [CTX, COEFF_CTX], ids=["no-constants", "constants"])
+def test_apply_matches_leibniz_oracle(ctx):
+    rng = random.Random(41)
+    zero_images = fractions = 0
+    for _ in range(80):
+        D = _random_derivation(rng, ctx, 3)
+        f = random_polynomial(rng, ctx, 5, max_terms=6)
+        assert D(f).terms == naive_derivation(D, f.terms)
+        zero_images += sum(g.is_zero() for g in D.images.values())
+        fractions += any(c.denominator > 1 for g in (f, *D.images.values())
+                         for c in g.terms.values())
+    assert zero_images and fractions
+
+
+EDGE_CTX = VarContext(["c", "x", "y"], coeff_block=["c"])
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 31, 32, 60, 61])
+def test_apply_at_field_edges(k):
+    # exponents 2^k - 1 and 2^k sit on either side of a bit-length step,
+    # so the packed fields are as tight as they get; with k <= 61 no sum
+    # of two exponents passes the limit
+    rng = random.Random(k)
+    edges = (0, 1, 2 ** k - 1, 2 ** k)
+
+    def edge_poly(terms):
+        return Polynomial(EDGE_CTX, {
+            tuple(rng.choice(edges) for _ in range(3)): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(terms)})
+
+    for _ in range(12):
+        D = Derivation(EDGE_CTX, {"x": edge_poly(2), "y": edge_poly(rng.randint(0, 2))})
+        f = edge_poly(4)
+        assert D(f).terms == naive_derivation(D, f.terms)
+
+
+def test_apply_overflow_matches_oracle():
+    top = Polynomial(EDGE_CTX, {(0, 2 ** 62, 1): 1})
+    D = Derivation(EDGE_CTX, {"y": Polynomial.variable(EDGE_CTX, "x")})
+    for run in (lambda: D(top), lambda: naive_derivation(D, top.terms)):
+        with pytest.raises(ExponentOverflowError, match="^exponent 4611686018427387905 exceeds limit$"):
+            run()
+    assert D(Polynomial(EDGE_CTX, {(0, 2 ** 62 - 1, 1): 1})).terms == {(0, 2 ** 62, 0): 1}
+
+
+def test_exp_and_dixmier_match_series_oracle():
+    rng = random.Random(43)
+    kernel_ctx = VarContext(["a", "b", "x"])
+    for i in range(8):
+        D, s = random_triangular_slice_instance(rng)
+        ctx = D.ctx
+        # a, b and x lie in Ker D; the first parameter is zero
+        t = Polynomial.zero(ctx) if i == 0 else \
+            random_polynomial(rng, kernel_ctx, 2, max_terms=3).rename_context(ctx)
+        images = exp_automorphism(D, t).images
+        for name in ctx.names:
+            var = Polynomial.variable(ctx, name)
+            assert images[name].terms == naive_exp_series(D, t.terms, var.terms)
+        f = random_polynomial(rng, ctx, 3)
+        assert dixmier_projection(D, s, f).terms == naive_exp_series(D, (-s).terms, f.terms)
+
+
+def test_exp_series_stops_at_its_last_term():
+    # exp(t D)(z) = z + t a y + t^2 a / 2 for D(y) = 1, D(z) = a y; with
+    # t = a^(2^61), t^2 is the last power the series needs and it fits
+    ctx = VarContext(["a", "y", "z"], coeff_block=["a"])
+    a, y, z = (Polynomial.variable(ctx, n) for n in "ayz")
+    D = Derivation(ctx, {"y": Polynomial.one(ctx), "z": y})
+    t = a ** 2 ** 61
+    assert exp_automorphism(D, t).images["z"] == z + t * y + t ** 2 / 2
+    D = Derivation(ctx, {"y": Polynomial.one(ctx), "z": a * y})
+    with pytest.raises(ExponentOverflowError, match="^exponent 4611686018427387905 exceeds limit$"):
+        exp_automorphism(D, t)
 
 
 # ---------------------------------------------------------------------------

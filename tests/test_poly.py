@@ -1,6 +1,7 @@
 """Polynomial arithmetic core: exactness, ring axioms, calculus, printing."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,112 @@ def test_parse_unknown_variable():
 def test_parse_implicit_multiplication():
     assert P("2x y") == P("2 * x * y")
     assert P("3/4x^2") == P("3/4 * x^2")
+
+
+#: Malformed inputs with the message and 1-based (line, column) they report.
+MALFORMED = [
+    ("", "expected a coefficient, variable or '('", 1, 1),
+    ("x +", "expected a coefficient, variable or '('", 1, 4),
+    ("y + + z", "expected a coefficient, variable or '('", 1, 5),
+    ("2/", "expected a denominator", 1, 3),
+    ("2/0", "zero denominator", 1, 4),
+    ("2/x", "expected a denominator", 1, 3),
+    ("x^", "expected an exponent", 1, 3),
+    ("x^y", "expected an exponent", 1, 3),
+    ("x^4611686018427387905", "exponent exceeds 4611686018427387904", 1, 3),
+    ("(x + 1", "expected ')'", 1, 7),
+    ("(x + 1))", "unexpected trailing input", 1, 8),
+    ("x)", "unexpected trailing input", 1, 2),
+    ("()", "expected a coefficient, variable or '('", 1, 2),
+    ("w", "unknown variable 'w'", 1, 1),
+    ("_t", "identifier '_t' uses the reserved prefix '_'", 1, 1),
+    ("x $ y", "unexpected character '$'", 1, 3),
+    ("x +\n\n  w", "unknown variable 'w'", 3, 3),
+    ("x\n + (y\n * )", "expected a coefficient, variable or '('", 3, 4),
+    ("2^3", "unexpected trailing input", 1, 2),
+    ("(x+1)^2", "unexpected trailing input", 1, 6),
+    ("x * * y", "expected a coefficient, variable or '('", 1, 5),
+    ("-", "expected a coefficient, variable or '('", 1, 2),
+    ("--x", "expected a coefficient, variable or '('", 1, 2),
+    ("x y z w", "unknown variable 'w'", 1, 7),
+    ("(" * 101 + "x" + ")" * 101, "parentheses nested deeper than 100", 1, 101),
+    ("x^-1", "expected an exponent", 1, 3),
+    ("1/2/3", "unexpected trailing input", 1, 4),
+    ("x\t@", "unexpected character '@'", 1, 3),
+    ("x -\n", "expected a coefficient, variable or '('", 2, 1),
+    ("3 x^2 y (z + 1/0)", "zero denominator", 1, 17),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", MALFORMED,
+                         ids=[repr(t)[:24] for t, _, _, _ in MALFORMED])
+def test_parse_error_message_and_position(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        P(text)
+    assert str(exc.value) == "%s (line %d, column %d)" % (message, line, column)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def _atom_product(rng, depth=0):
+    """(text, term dict) of a random product of atoms over CTX, built side by side.
+
+    Atoms are coefficients (zero and fractions among them), powers of one
+    variable (repeats such as x*x^3 among them) and, two levels deep at
+    most, parenthesised sums of such products.
+    """
+    parts = []
+    terms = {(0, 0, 0): Fraction(1)}
+    for _ in range(rng.randint(1, 4)):
+        pick = rng.random()
+        if pick < 0.3:
+            num, den = rng.choice([0, 1, 2, 7, 12]), rng.choice([1, 1, 3, 4])
+            text = str(num) if den == 1 else "%d/%d" % (num, den)
+            factor = {(0, 0, 0): Fraction(num, den)}
+        elif pick < 0.85 or depth == 2:
+            i, e = rng.randrange(3), rng.choice([0, 1, 1, 2, 3])
+            text = "xyz"[i] if e == 1 and rng.random() < 0.5 else "%s^%d" % ("xyz"[i], e)
+            factor = {tuple(e if j == i else 0 for j in range(3)): Fraction(1)}
+        else:
+            text, factor = _atom_sum(rng, depth + 1)
+            text = "(%s)" % text
+        if parts:
+            joint = rng.choice(["*", " * ", " "])
+            if parts[-1][-1] in "0123456789)" and text[0] in "xyz(":
+                joint = rng.choice([joint, ""])
+            parts.append(joint)
+        parts.append(text)
+        terms = naive_product(terms, factor)
+    return "".join(parts), terms
+
+
+def _atom_sum(rng, depth=0):
+    """(text, term dict) of a signed sum of 1-4 atom products."""
+    parts = []
+    total = {}
+    for k in range(rng.randint(1, 4)):
+        sign = rng.choice([1, -1]) if k else rng.choice([1, 1, -1])
+        text, terms = _atom_product(rng, depth)
+        parts.append(("-" if sign < 0 else "") if not k else (" - " if sign < 0 else " + "))
+        parts.append(text)
+        for m, c in terms.items():
+            total[m] = total.get(m, Fraction(0)) + sign * c
+    return "".join(parts), {m: c for m, c in total.items() if c}
+
+
+def test_parse_atom_products_match_terms_built_by_hand():
+    rng = random.Random(2024)
+    texts = []
+    for _ in range(400):
+        text, terms = _atom_sum(rng)
+        assert P(text).terms == terms, text
+        texts.append(text)
+    joined = "\n".join(texts)
+    for feature in (r"\d/\d",                     # a fraction
+                    r"(^|[-+*( ])0([ *)]|$)",       # a zero coefficient
+                    r"([xyz])(\^\d)?[ *]+\1",     # a repeated variable
+                    r"\d[xyz(]",                   # implicit '*' without a space
+                    r"\((\(|[^()]*\()"):            # a nested group
+        assert re.search(feature, joined, re.M), feature
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,15 @@ def test_corrupted_keeps_original_intact():
     assert check_residual(spec).verdict == "pass"
 
 
+def test_corrupted_takes_a_given_label():
+    spec = family("venereau", 1)
+    bad = spec.corrupted(label="x", h=M("y + z"))
+    assert bad.label == "x"
+    assert bad.h == M("y + z")
+    assert spec.corrupted().label == spec.label + "+corrupted"
+    assert replace(spec, label="").corrupted().label == "corrupted"
+
+
 # ---------------------------------------------------------------------------
 # the closed-form chain as witness certificate
 
