@@ -377,8 +377,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print("venlab: error: %s" % message, file=sys.stderr)
         return USAGE_ERROR
-    except BudgetExceededError as exc:
-        print("venlab: resource budget exceeded: %s" % exc, file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:
+        print("venlab: resource budget exceeded: %s" % (str(exc) or "out of memory"),
+              file=sys.stderr)
         return 2
     return rep.exit_code()
 

@@ -31,7 +31,7 @@ from .poly import (
     _max_exponents,
     _mul_into,
     _pack,
-    _power,
+    _sum_of_products,
     _unpack,
     clear_denominators,
 )
@@ -212,11 +212,8 @@ def taylor_term(f: Polynomial, r: int) -> Polynomial:
 def _exp_series(D: Derivation, a: Polynomial, f: Polynomial) -> Polynomial:
     """sum_r a^r D^r(f) / r!, finite when D kills f after finitely many steps.
 
-    The iterates D^r(f) come first.  Then every a^r * D^r(f) goes through
-    the product kernel into one integer accumulator over the common
-    denominator of all terms; each product's top exponents are checked in
-    variable order as `*` would check them, and their maximum sizes the
-    packed fields.
+    The iterates D^r(f) come first, then one sum of products over all of
+    them, in which a vanishing a leaves only f.
     """
     iterates = []
     while not f.is_zero():
@@ -225,28 +222,8 @@ def _exp_series(D: Derivation, a: Polynomial, f: Polynomial) -> Polynomial:
                                     % MAX_SERIES_TERMS)
         iterates.append(f)
         f = D(f)
-    base, den_a = clear_denominators(a.terms)
-    if not base:
-        del iterates[1:]  # a^r vanishes for r >= 1
-    top_a = _max_exponents(base) or [0] * f.ctx.arity
-    cleared = []
-    bounds = [0] * f.ctx.arity
-    den = 1
-    for r, g in enumerate(iterates):
-        terms, d = clear_denominators(g.terms)
-        d *= den_a ** r * factorial(r)
-        top = [e + r * x for e, x in zip(_max_exponents(terms), top_a)]
-        _fields(top)  # this product's overflow check
-        bounds = list(map(max, bounds, top))
-        den = lcm(den, d)
-        cleared.append((terms, d))
-    fields = _fields(bounds)
-    packed_a = _pack(base, fields)
-    powers = {0: [(0, 1)]}
-    acc = {}
-    for r, (terms, d) in enumerate(cleared):
-        _mul_into(acc, _power(powers, packed_a, r), _pack(terms, fields), den // d)
-    return Polynomial._trusted(f.ctx, _unpack(acc, fields, den))
+    return _sum_of_products(f.ctx, [(Fraction(1, factorial(r)), [(a, r), (g, 1)])
+                                    for r, g in enumerate(iterates)])
 
 
 def exp_shift(f: Polynomial) -> Polynomial:

@@ -389,24 +389,17 @@ def _interreduce(basis: list, keys: _Keys, budget: Budget, stats: GroebnerStats)
     """Minimalize and tail-reduce to the unique reduced basis (up to scaling).
 
     Returns the entries ascending by lead.  Tail reduction keeps every
-    lead, since in a minimal basis no lead divides another.
+    lead, since in a minimal basis no lead divides another, and leaves only
+    terms that no lead divides; so one pass reduces every tail for good.
     """
     minimal = []
     for b in sorted(basis, key=itemgetter(0)):
         if not any(keys.divides(o[0], b[0]) for o in minimal):
             minimal.append(b)
-    # tail-reduce each against the others until stable
-    changed = True
-    current = minimal
-    while changed:
-        changed = False
-        for i, (lead, lc, tail) in enumerate(current):
-            others = current[:i] + current[i + 1:]
-            red = _entry(_normalize(_reduce([(lead, lc)] + tail, others, keys, budget, stats)[0]))
-            if red != current[i]:
-                current[i] = red
-                changed = True
-    return current
+    for i, (lead, lc, tail) in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
+        minimal[i] = _entry(_normalize(_reduce([(lead, lc)] + tail, others, keys, budget, stats)[0]))
+    return minimal
 
 
 # ---------------------------------------------------------------------------

@@ -49,25 +49,30 @@ class ParseError(ValueError):
         self.column = column
 
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<int>\d+)
+#: One token with the whitespace before it; `bad` takes any other
+#: character, or the empty string at the end of the text.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>[-+*/^()])
-""", re.VERBOSE)
+  | (?P<bad>.?)
+)""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(text: str):
     tokens = []
     pos = 0
-    while pos < len(text):
+    while True:
         m = _TOKEN.match(text, pos)
-        if m is None:
+        kind = m.lastgroup
+        pos = m.start(kind)
+        if kind == "bad":
+            if pos == len(text):
+                break
             line = text.count("\n", 0, pos) + 1
             col = pos - (text.rfind("\n", 0, pos) + 1) + 1
             raise ParseError("unexpected character %r" % text[pos], line, col)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
+        tokens.append((kind, m.group(kind), pos))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens

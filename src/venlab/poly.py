@@ -5,9 +5,10 @@ per variable of a `VarContext`, to nonzero `fractions.Fraction` values,
 so every operation is exact and canonical (gcd-reduced, positive
 denominator) by construction; `int` inputs are coerced on the way in.
 Integer coefficients and packed monomial keys exist only inside the
-product kernel (`_mul_into` and its helpers), which serves `*`, `**`
-and substitution, and inside the Buchberger engine in `groebner`; both
-hand back one `Fraction` per output term.
+product kernel (`_sum_of_products`, `_mul_into` and their helpers), which
+serves `*`, `**`, substitution, `matrix_det`, derivations and their
+series, and inside the Buchberger engine in `groebner`; both hand back
+one `Fraction` per output term.
 
 A context may designate a prefix of its variables as the coefficient
 block: those play the role of the base ring R in R[fiber variables] and
@@ -20,8 +21,8 @@ objects and are safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import add
+from itertools import combinations, permutations
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 #: Degree of the zero polynomial.
@@ -118,7 +119,7 @@ class VarContext:
 # monomial is packed into one int with a bit field per variable.  Field
 # widths come from bounds on the exponents of the result, so adding two
 # packed keys multiplies the monomials and never carries into the next
-# field.
+# field.  `_sum_of_products` is the one accumulation routine on top of it.
 
 def clear_denominators(terms: Mapping[tuple, Fraction]):
     """(integer term dict, den) with den * terms equal to those integers."""
@@ -156,9 +157,8 @@ def _pack(terms: Mapping[tuple, int], fields: list) -> list:
 def _mul_into(acc: dict, a: list, b: list, scale: int) -> dict:
     """acc += scale * a * b over packed integer terms; returns acc.
 
-    The one product loop: `Polynomial.__mul__` runs it into an empty dict,
-    and substitution runs every term of the substituted polynomial into
-    one shared accumulator.
+    The one product loop, under `_sum_of_products`, `_power` and
+    `Derivation.__call__`.
     """
     get = acc.get
     for ka, ca in a:
@@ -387,11 +387,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        a, da = clear_denominators(self.terms)
-        b, db = clear_denominators(other.terms)
-        fields = _fields(map(add, _max_exponents(a), _max_exponents(b)))
-        acc = _mul_into({}, _pack(a, fields), _pack(b, fields), 1)
-        return Polynomial._trusted(self.ctx, _unpack(acc, fields, da * db))
+        return _sum_of_products(self.ctx, [(1, [(self, 1), (other, 1)])])
 
     __rmul__ = __mul__
 
@@ -401,17 +397,10 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, n: int):
-        """self^n through the product kernel, cleared and packed once.
-
-        The fields are sized for n times the top exponents, which is the
-        overflow check; p ** 0 is 1 for every p, the zero polynomial too.
-        """
+        """self^n; p ** 0 is 1 for every p, the zero polynomial too."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        terms, den = clear_denominators(self.terms)
-        fields = _fields([n * e for e in _max_exponents(terms) or [0] * self.ctx.arity])
-        acc = dict(_power({0: [(0, 1)]}, _pack(terms, fields), n))
-        return Polynomial._trusted(self.ctx, _unpack(acc, fields, den ** n))
+        return _sum_of_products(self.ctx, [(1, [(self, n)])])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -438,8 +427,8 @@ class Polynomial:
         """Ring-homomorphism image; unmentioned variables map to themselves.
 
         All image polynomials must share one target context (defaulting to
-        this polynomial's own context when every variable is covered by an
-        identity image).
+        this polynomial's own context when no image is given); only the
+        variables the polynomial uses need to be in it.
         """
         target = None
         for g in images.values():
@@ -449,13 +438,9 @@ class Polynomial:
                 raise ContextMismatchError("image polynomials live in different contexts")
         if target is None:
             target = self.ctx
-        full = {}
-        for name in self.ctx.names:
-            if name in images:
-                full[name] = images[name]
-            else:
-                full[name] = Polynomial.variable(target, name)  # raises if absent
-        return _apply_images(self, [full[n] for n in self.ctx.names], target)
+        full = [images[n] if n in images else Polynomial.variable(target, n) if e else None
+                for n, e in zip(self.ctx.names, _max_exponents(self.terms))]
+        return _apply_images(self, full, target)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point covering every used variable."""
@@ -463,7 +448,7 @@ class Polynomial:
         for n in self.ctx.names:
             if n in used and n not in point:
                 raise KeyError("no value for variable %r" % n)
-        images = {n: Polynomial.constant(self.ctx, point[n]) for n in self.ctx.names if n in point}
+        images = {n: Polynomial.constant(self.ctx, point[n]) for n in used}
         return self.substitute(images).coefficient((0,) * self.ctx.arity)
 
     def rename_context(self, new_ctx: VarContext) -> "Polynomial":
@@ -493,42 +478,79 @@ class Polynomial:
 
 
 def _apply_images(f: Polynomial, images: list, target: VarContext) -> Polynomial:
-    """Evaluate f at the given per-variable images (ring homomorphism).
+    """f at the given per-variable images (a ring homomorphism), one product per term."""
+    return _sum_of_products(target, [(c, [(images[i], e) for i, e in enumerate(mono) if e])
+                                     for mono, c in f.terms.items()])
 
-    Every term c * prod x_i^e_i of f goes through the product kernel into
-    one integer accumulator over the common denominator of all terms.  The
-    top exponents of a term's image are exactly sum_i e_i * (top exponents
-    of image i), so their maximum sizes the packed fields and is the
-    overflow check.  Terms that meet a zero image vanish.
+
+def _sum_of_products(ctx: VarContext, items) -> Polynomial:
+    """sum of c * prod f_i^e_i over items (c, [(f_i, e_i), ...]), every f_i in ctx.
+
+    The terms go into one integer accumulator over one common denominator.
+    Each distinct factor is cleared once, in a cache keyed by id that holds
+    the factor itself, so no id is reused during the call.  A one-term
+    factor c * m scales the coefficient and shifts the monomial; every
+    other factor is packed once and its powers come from one `_power`
+    cache.  A product with a zero factor vanishes; the top exponents of
+    every other product, sum_i e_i * top(f_i), get the overflow check of
+    `*`, and their maximum sizes the packed fields.
     """
-    cleared = [clear_denominators(g.terms) for g in images]
-    tops = [_max_exponents(t) if t else None for t, _ in cleared]
+    arity = ctx.arity
+    # id -> (f, monomial, num, den), or [f, top, 0 if zero else 1, den, integer terms, powers]
+    cache = {}
     live = []
-    bounds = [0] * target.arity
+    bounds = [0] * arity
     den = 1
-    for mono, c in f.terms.items():
-        used = [(i, e) for i, e in enumerate(mono) if e]
-        if any(tops[i] is None for i, _ in used):
-            continue
-        d = c.denominator
-        top = [0] * target.arity
-        for i, e in used:
-            d *= cleared[i][1] ** e
-            top = [t + e * x for t, x in zip(top, tops[i])]
-        bounds = [max(b, t) for b, t in zip(bounds, top)]
-        den = den * d // gcd(den, d)
-        live.append((used, c.numerator, d))
+    for c, factors in items:
+        num, d = c.numerator, c.denominator
+        shift = top = [0] * arity
+        wide = []
+        for f, e in factors:
+            if not e:
+                continue
+            entry = cache.get(id(f))
+            if entry is None:
+                if f.ctx is not ctx and f.ctx != ctx:
+                    raise ContextMismatchError("factor lives in %r, not in %r" % (f.ctx, ctx))
+                if len(f.terms) == 1:
+                    (m, fc), = f.terms.items()
+                    entry = (f, m, fc.numerator, fc.denominator)
+                else:
+                    terms, fd = clear_denominators(f.terms)
+                    entry = [f, _max_exponents(terms), int(bool(terms)), fd, terms]
+                cache[id(f)] = entry
+            if not entry[2]:
+                break
+            num *= entry[2] ** e
+            d *= entry[3] ** e
+            top = [t + e * x for t, x in zip(top, entry[1])]
+            if len(entry) == 4:
+                shift = [t + e * x for t, x in zip(shift, entry[1])]
+            else:
+                wide.append((entry, e))
+        else:
+            if num:
+                if max(top, default=0) > EXPONENT_LIMIT:
+                    _fields(top)  # raises the overflow error of `*`
+                bounds = list(map(max, bounds, top))
+                den = lcm(den, d)
+                live.append((shift, num, d, wide))
     fields = _fields(bounds)
-    packed = [_pack(t, fields) for t, _ in cleared]
-    powers = [{0: [(0, 1)]} for _ in images]
+    shifts = [s for s, _ in fields]
     acc = {}
-    for used, num, d in live:
-        factors = sorted((_power(powers[i], packed[i], e) for i, e in used), key=len)
-        head = [(0, 1)]
-        for p in factors[:-1]:
+    for shift, num, d, wide in live:
+        key = sum([e << s for e, s in zip(shift, shifts)])
+        powers = []
+        for entry, e in wide:
+            if len(entry) == 5:
+                entry.append({0: [(0, 1)], 1: _pack(entry[4], fields)})
+            powers.append(_power(entry[5], entry[5][1], e))
+        powers.sort(key=len)
+        head = powers.pop(0) if powers and not key else [(key, 1)]
+        for p in powers[:-1]:
             head = _nonzero(_mul_into({}, head, p, 1))
-        _mul_into(acc, head, factors[-1] if factors else [(0, 1)], num * (den // d))
-    return Polynomial._trusted(target, _unpack(acc, fields, den))
+        _mul_into(acc, head, powers[-1] if powers else [(0, 1)], num * (den // d))
+    return Polynomial._trusted(ctx, _unpack(acc, fields, den))
 
 
 def _nonzero(acc: dict) -> list:
@@ -624,17 +646,12 @@ def jacobian_det(polys: Sequence[Polynomial], vars: Sequence[str]) -> Polynomial
 
 
 def matrix_det(mat: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant by cofactor expansion along the first row."""
+    """Determinant as the Leibniz sum over permutations, in one accumulation."""
     n = len(mat)
     for row in mat:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if n == 1:
-        return mat[0][0]
-    ctx = mat[0][0].ctx
-    total = Polynomial.zero(ctx)
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in mat[1:]]
-        cof = mat[0][j] * matrix_det(minor)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
+    return _sum_of_products(mat[0][0].ctx, [
+        ((-1) ** sum(a > b for a, b in combinations(perm, 2)),
+         [(row[j], 1) for row, j in zip(mat, perm)])
+        for perm in permutations(range(n))])

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .groebner import Budget, DEFAULT_BUDGET, MembershipResult, subalgebra_members, tag_ring
 from .parse import format_polynomial, parse_polynomial
-from .poly import Polynomial, VarContext, jacobian_det
+from .poly import Polynomial, VarContext, _sum_of_products, jacobian_det
 
 #: Context of every built spec: k[x][y,z,u].
 MAIN_CONTEXT = VarContext(["x", "y", "z", "u"], coeff_block=["x"])
@@ -136,17 +136,16 @@ def build(r, s, Q, label: str = "") -> VenereauSpec:
     z = Polynomial.variable(ctx, "z")
     u = Polynomial.variable(ctx, "u")
 
-    lam = z ** 2 + r * z + s
-    p = y * u + lam
-    v = x * z + y * p
-    w = x ** 2 * u - x * lam.partial("z") * p - y * p ** 2
-    h = y + x * Q.substitute({
-        "x": x, "V": v, "W": w,
-    })
+    lam = _sum_of_products(ctx, [(1, [(z, 2)]), (1, [(r, 1), (z, 1)]), (1, [(s, 1)])])
+    p = _sum_of_products(ctx, [(1, [(y, 1), (u, 1)]), (1, [(lam, 1)])])
+    v = _sum_of_products(ctx, [(1, [(x, 1), (z, 1)]), (1, [(y, 1), (p, 1)])])
+    w = _sum_of_products(ctx, [(1, [(x, 2), (u, 1)]), (-1, [(x, 1), (lam.partial("z"), 1), (p, 1)]),
+                               (-1, [(y, 1), (p, 2)])])
+    h = _sum_of_products(ctx, [(1, [(y, 1)])] + _x_Q(1, Q, x, v, w))
 
     # independent re-derivation: the localization identity
     # x^2 p = y w + v^2 + r x v + s x^2 must hold on the nose
-    if x ** 2 * p != y * w + v ** 2 + r * x * v + s * x ** 2:
+    if not _sum_of_products(ctx, [(1, [(x, 2), (p, 1)])] + _p_rhs(-1, x, y, v, w, r, s)).is_zero():
         raise AssertionError("internal identity x^2 p = y w + v^2 + r x v + s x^2 failed")
     if not _divisible_by_x(h - y):
         raise AssertionError("h - y must be divisible by x")
@@ -187,6 +186,23 @@ def family(name: str, n: int = 1, Q=None, Q2=None, r=0, s=0) -> VenereauSpec:
     q2sq = Q2.substitute({"x": xq, "V": V ** 2, "W": W})
     effective = xq * Q + xq ** 2 * V * q2sq
     return build(0, 0, effective, label="lewis")
+
+
+def _x_Q(sign: int, Q: Polynomial, x: Polynomial, v: Polynomial, w: Polynomial) -> list:
+    """Items of sign * x * Q(x, v, w) for `_sum_of_products`, one per term of Q."""
+    return [(sign * q, [(x, a + 1), (v, b), (w, c)]) for (a, b, c), q in Q.terms.items()]
+
+
+def _p_rhs(sign: int, x, y, v, w, r, s) -> list:
+    """Items of sign * (y w + v^2 + r x v + s x^2), which is x^2 p."""
+    return [(sign, [(y, 1), (w, 1)]), (sign, [(v, 2)]), (sign, [(r, 1), (x, 1), (v, 1)]),
+            (sign, [(s, 1), (x, 2)])]
+
+
+def _u_rhs(sign: int, x, y, z, p, w, r) -> list:
+    """Items of sign * (w + x (2z + r) p + y p^2), which is x^2 u."""
+    return [(sign, [(w, 1)]), (2 * sign, [(x, 1), (z, 1), (p, 1)]),
+            (sign, [(x, 1), (r, 1), (p, 1)]), (sign, [(y, 1), (p, 2)])]
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +276,20 @@ def _chain_witnesses(spec: VenereauSpec) -> Optional[list]:
         u_T = (t2 + x (2 z_T + r) p_T + y_T p_T^2) x_inv^2
 
     maps to y, p, z, u under t -> (h, v, w), x_inv -> 1/x, one identity
-    per step.  Products are taken with x * x_inv cancelled, the form of a
-    normal form modulo x * x_inv - 1.
+    per step.  Each identity is one zero test of a sum of products, and
+    each step one sum, taken with x * x_inv cancelled afterwards, the
+    form of a normal form modulo x * x_inv - 1.
     """
     ctx = spec.ctx
     x, y, z, u = (Polynomial.variable(ctx, n) for n in ("x", "y", "z", "u"))
     r, s, p, v, w = spec.r, spec.s, spec.p, spec.v, spec.w
-    if (spec.h - y != x * spec.Q.substitute({"x": x, "V": v, "W": w})
-            or x ** 2 * p != y * w + v ** 2 + r * x * v + s * x ** 2
-            or x * z != v - y * p
-            or x ** 2 * u != w + x * (2 * z + r) * p + y * p ** 2):
+    identities = (
+        [(1, [(spec.h, 1)]), (-1, [(y, 1)])] + _x_Q(-1, spec.Q, x, v, w),
+        [(1, [(x, 2), (p, 1)])] + _p_rhs(-1, x, y, v, w, r, s),
+        [(1, [(x, 1), (z, 1)]), (-1, [(v, 1)]), (1, [(y, 1), (p, 1)])],
+        [(1, [(x, 2), (u, 1)])] + _u_rhs(-1, x, y, z, p, w, r),
+    )
+    if not all(_sum_of_products(ctx, items).is_zero() for items in identities):
         return None
     work_ctx, _, tags, inv_name = tag_ring(ctx, 3, "x")
     xi, ii = work_ctx.index("x"), work_ctx.index(inv_name)
@@ -288,10 +308,10 @@ def _chain_witnesses(spec: VenereauSpec) -> Optional[list]:
     t0, t1, t2 = (Polynomial.variable(work_ctx, t) for t in tags)
     X = Polynomial.variable(work_ctx, "x")
     r, s = r.rename_context(work_ctx), s.rename_context(work_ctx)
-    y_T = t0 - X * spec.Q.substitute({"x": X, "V": t1, "W": t2})
-    p_T = over_x(y_T * t2 + t1 ** 2 + r * X * t1 + s * X ** 2, 2)
-    z_T = over_x(t1 - y_T * p_T, 1)
-    u_T = over_x(t2 + X * (2 * z_T + r) * p_T + y_T * p_T ** 2, 2)
+    y_T = _sum_of_products(work_ctx, [(1, [(t0, 1)])] + _x_Q(-1, spec.Q, X, t1, t2))
+    p_T = over_x(_sum_of_products(work_ctx, _p_rhs(1, X, y_T, t1, t2, r, s)), 2)
+    z_T = over_x(_sum_of_products(work_ctx, [(1, [(t1, 1)]), (-1, [(y_T, 1), (p_T, 1)])]), 1)
+    u_T = over_x(_sum_of_products(work_ctx, _u_rhs(1, X, y_T, z_T, p_T, t2, r)), 2)
     return [y_T, z_T, u_T]
 
 

@@ -1,12 +1,14 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they check:
-membership by degree-bounded exact linear algebra (no Groebner bases),
-determinants by permutation expansion (no cofactor recursion), shifts by
-direct substitution (no Taylor iteration), products, substitution,
-derivations and exponential series pair by pair over Fractions (no packed
-integer kernel), localized witnesses by their closed-form chain over
-Laurent tuples (no Groebner basis).
+membership by degree-bounded exact linear algebra (no Groebner bases);
+products, substitution, derivations, exponential series, determinants
+(by permutation expansion) and shifts (by direct substitution, no Taylor
+iteration) pair by pair over Fractions, with plain dict sums (none of
+them touches `Polynomial` arithmetic or the packed integer kernel behind
+`*`, `**`, substitution, `matrix_det` and `exp_shift`); localized
+witnesses by their closed-form chain over Laurent tuples (no Groebner
+basis).
 """
 
 from __future__ import annotations
@@ -142,16 +144,16 @@ def _solvable(rows, rhs) -> bool:
 # oracle 2: determinant by permutation expansion
 
 def permutation_det(mat) -> Polynomial:
+    """The sum over permutations of signed entry products, by `naive_product`."""
     n = len(mat)
     ctx = mat[0][0].ctx
-    total = Polynomial.zero(ctx)
+    parts = []
     for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = Polynomial.constant(ctx, sign)
+        prod = {(0,) * ctx.arity: Fraction(1)}
         for i in range(n):
-            prod = prod * mat[i][perm[i]]
-        total = total + prod
-    return total
+            prod = naive_product(prod, mat[i][perm[i]].terms)
+        parts.append((_perm_sign(perm), prod))
+    return Polynomial(ctx, naive_sum(*parts))
 
 
 def _perm_sign(perm) -> int:
@@ -167,18 +169,24 @@ def _perm_sign(perm) -> int:
 
 # ---------------------------------------------------------------------------
 # oracle 3: shift by direct substitution
+#
+# Oracles 2 and 3 are built on oracle 4 below.
 
 def shifted_by_substitution(f: Polynomial) -> Polynomial:
-    """f(t1 + e1, ..., tn + en) computed by plain substitution."""
+    """f(t1 + e1, ..., tn + en) computed by `naive_substitute`."""
     from venlab.derivation import SHIFT_PREFIX, shift_context
     ext = shift_context(f.ctx)
+
+    def unit(name):
+        return tuple(int(n == name) for n in ext.names)
+
     images = {}
     for name in f.ctx.names:
-        img = Polynomial.variable(ext, name)
+        terms = {unit(name): 1}
         if name in f.ctx.fiber_names:
-            img = img + Polynomial.variable(ext, SHIFT_PREFIX + name)
-        images[name] = img
-    return f.rename_context(ext).substitute(images)
+            terms[unit(SHIFT_PREFIX + name)] = 1
+        images[name] = Polynomial(ext, terms)
+    return Polynomial(ext, naive_substitute(f, images))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +204,15 @@ def naive_product(a: dict, b: dict) -> dict:
         for mb, cb in b.items():
             m = tuple(x + y for x, y in zip(ma, mb))
             out[m] = out.get(m, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {m: c for m, c in out.items() if c}
+
+
+def naive_sum(*parts) -> dict:
+    """Sum of the term dicts in `parts`, each given as (scale, term dict)."""
+    out = {}
+    for scale, terms in parts:
+        for m, c in terms.items():
+            out[m] = out.get(m, Fraction(0)) + scale * c
     return {m: c for m, c in out.items() if c}
 
 
@@ -277,15 +294,6 @@ def naive_exp_series(D: Derivation, a: dict, terms: dict) -> dict:
 # where a < 0 is a power of 1/x, so x * (1/x) cancels by itself.  Tags
 # t0, t1, t2 stand for h, v, w.  Like oracle 4 this reads only `.terms`.
 
-def _laurent_sum(*parts) -> dict:
-    """Sum of the term dicts in `parts`, each given as (scale, term dict)."""
-    out = {}
-    for scale, terms in parts:
-        for m, c in terms.items():
-            out[m] = out.get(m, Fraction(0)) + scale * c
-    return {m: c for m, c in out.items() if c}
-
-
 def localized_chain(r: Polynomial, s: Polynomial, Q: Polynomial) -> dict:
     """The witnesses of y, z and u in Q[x, 1/x][t0, t1, t2], by name.
 
@@ -304,13 +312,13 @@ def localized_chain(r: Polynomial, s: Polynomial, Q: Polynomial) -> dict:
     rr = {(m[0], 0, 0, 0): Fraction(c) for m, c in r.terms.items()}
     ss = {(m[0], 0, 0, 0): Fraction(c) for m, c in s.terms.items()}
     qq = {(m[0], 0, m[1], m[2]): Fraction(c) for m, c in Q.terms.items()}
-    y = _laurent_sum((1, t0), (-1, naive_product(x_to(1), qq)))
-    p = naive_product(x_to(-2), _laurent_sum(
+    y = naive_sum((1, t0), (-1, naive_product(x_to(1), qq)))
+    p = naive_product(x_to(-2), naive_sum(
         (1, naive_product(y, t2)), (1, naive_product(t1, t1)),
         (1, naive_product(rr, naive_product(x_to(1), t1))), (1, naive_product(ss, x_to(2)))))
-    z = naive_product(x_to(-1), _laurent_sum((1, t1), (-1, naive_product(y, p))))
-    u = naive_product(x_to(-2), _laurent_sum(
-        (1, t2), (1, naive_product(naive_product(x_to(1), _laurent_sum((2, z), (1, rr))), p)),
+    z = naive_product(x_to(-1), naive_sum((1, t1), (-1, naive_product(y, p))))
+    u = naive_product(x_to(-2), naive_sum(
+        (1, t2), (1, naive_product(naive_product(x_to(1), naive_sum((2, z), (1, rr))), p)),
         (1, naive_product(y, naive_product(p, p)))))
     return {"y": y, "z": z, "u": u}
 

@@ -188,6 +188,22 @@ def test_poly_compose(capsys):
     assert rec["witnesses"]["image"] == "x^2 + 2*x*y + y^2"
 
 
+@pytest.mark.parametrize("message, line", [
+    ("", "out of memory"),
+    ("no room for the image", "no room for the image"),
+])
+def test_out_of_memory_is_undetermined(capsys, monkeypatch, message, line):
+    """Running out of memory is running out of a resource: exit 2, one line."""
+    def exhausted(args, rep):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_poly", exhausted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    code, out, err = run(capsys, "--json", "poly", "compose", "--vars", "x,y",
+                         "--map", "x=y + 1/2", "x^4")
+    assert (code, out, err) == (2, "", "venlab: resource budget exceeded: %s\n" % line)
+
+
 #: `main` calls that share one parser.  `--map` appends to a list default,
 #: so a call without it must not see the images of the calls before it, and
 #: a usage error must not leave state behind for the next call.

@@ -129,7 +129,7 @@ def test_jacobian_triangular_system():
 
 def test_jacobian_matches_permutation_expansion():
     from helpers import permutation_det, random_polynomial
-    from venlab.poly import jacobian_matrix
+    from venlab.poly import jacobian_matrix, matrix_det
     rng = random.Random(11)
     for _ in range(20):
         polys = [random_polynomial(rng, CTX, 4) for _ in range(3)]
@@ -138,6 +138,18 @@ def test_jacobian_matches_permutation_expansion():
         except ValueError:
             continue
         assert jacobian_det(polys, ["x", "y", "z"]) == permutation_det(mat)
+    # rational entries, some of them zero, in matrices of every size 1..4
+    for n in range(1, 5):
+        for _ in range(12):
+            polys = [_operand(rng, CTX, edges=None, max_terms=3, max_degree=3) for _ in range(3)]
+            assert jacobian_det(polys, ["x", "y", "z"]) == permutation_det(
+                jacobian_matrix(polys, ["x", "y", "z"]))
+            mat = [[Polynomial.zero(CTX) if rng.random() < 0.3 else
+                    _operand(rng, CTX, edges=None, max_terms=3, max_degree=2)
+                    for _ in range(n)] for _ in range(n)]
+            det = matrix_det(mat)
+            assert det == permutation_det(mat)
+            _assert_fraction_terms(det)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +451,26 @@ def test_substitute_matches_pairwise_oracle():
                 assert image.terms == naive_substitute(g, images)
                 _assert_fraction_terms(image)
                 assert PolyMap(src, target, images)(g) == image
+            # the witness re-check shape: one-term images with rational
+            # coefficients, zero images, and unmentioned variables going to
+            # themselves in a wider target
+            wide = VarContext(src.names + target.names)
+            given = {"t0": images["t0"].rename_context(wide)}
+            for n in src.names[1:]:
+                kind = rng.random()
+                if kind < 0.35:
+                    mono = tuple(rng.randint(0, 3) if rng.random() < 0.4 else 0
+                                 for _ in range(wide.arity))
+                    given[n] = Polynomial(wide, {mono: Fraction(_scalar(rng), rng.randint(2, 7))})
+                elif kind < 0.5:
+                    given[n] = Polynomial.zero(wide)
+            full = {n: given.get(n, Polynomial.variable(wide, n)) for n in src.names}
+            for g in (f, f + vanishing):
+                image = g.substitute(given)
+                assert image.ctx == wide
+                assert image.terms == naive_substitute(g, full)
+                _assert_fraction_terms(image)
+                assert PolyMap(src, wide, full)(g) == image
 
 
 def test_product_overflow_boundary():
@@ -466,6 +498,57 @@ def test_substitute_overflow_boundary():
     assert at_limit.coefficient((0, EXPONENT_LIMIT, 0)) == 1
     with pytest.raises(ExponentOverflowError):
         f.substitute({"z": x + Polynomial(ctx, {(0, half + 1, 0): 1})})
+
+
+def test_products_above_the_limit_raise_unless_a_factor_is_zero():
+    """The one overflow rule of `*`, `**`, substitution and determinants:
+    a product's top exponents above EXPONENT_LIMIT raise, unless one of its
+    factors is zero, which makes the product vanish first."""
+    from venlab.poly import _sum_of_products, matrix_det
+    ctx = VarContext(["x", "y"])
+    x, y, zero = Polynomial.variable(ctx, "x"), Polynomial.variable(ctx, "y"), Polynomial.zero(ctx)
+    top = x ** EXPONENT_LIMIT
+    wide = top + y
+    for over in ([(top, 1), (x, 1)], [(x, EXPONENT_LIMIT + 1)], [(wide, 1), (x + 1, 1)],
+                 [(wide, 2)], [(zero, 0), (top, 1), (x, 1)]):
+        with pytest.raises(ExponentOverflowError):
+            _sum_of_products(ctx, [(1, over)])
+    for vanishing in ([(top, 1), (x, 1), (zero, 1)], [(zero, 3), (wide, 2)],
+                      [(wide, EXPONENT_LIMIT), (zero, 1)]):
+        assert _sum_of_products(ctx, [(1, vanishing)]).is_zero()
+    with pytest.raises(ExponentOverflowError):
+        top * x
+    with pytest.raises(ExponentOverflowError):
+        matrix_det([[top, zero], [zero, x]])
+    assert matrix_det([[top, top], [zero, zero]]).is_zero()
+    assert matrix_det([[top, zero], [y, x - x]]).is_zero()
+    f = x * y
+    assert f.substitute({"x": top, "y": zero}).is_zero()
+    with pytest.raises(ExponentOverflowError):
+        f.substitute({"x": top, "y": x})
+
+
+def test_sum_of_products_matches_the_oracle_on_factors_made_on_the_fly():
+    """Factors that exist only while their item is read: the factor cache
+    keeps each one alive, so a later factor cannot reuse its id."""
+    from helpers import naive_sum
+    from venlab.poly import _sum_of_products
+    ctx = _context(3)
+    rng = random.Random(4107)
+    specs = [(_scalar(rng), [(_operand(rng, ctx, edges=None, max_terms=3, max_degree=2).terms,
+                              rng.randint(0, 2)) for _ in range(rng.randint(0, 3))])
+             for _ in range(60)]
+    total = _sum_of_products(ctx, ((c, [(Polynomial(ctx, terms), e) for terms, e in factors])
+                                   for c, factors in specs))
+    parts = []
+    for c, factors in specs:
+        prod = {(0,) * ctx.arity: Fraction(1)}
+        for terms, e in factors:
+            for _ in range(e):
+                prod = naive_product(prod, terms)
+        parts.append((c, prod))
+    assert total.terms == naive_sum(*parts)
+    _assert_fraction_terms(total)
 
 
 def test_substitute_keeps_a_huge_power_of_a_fixed_variable():
