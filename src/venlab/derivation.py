@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from operator import add
+from math import factorial
 from typing import Mapping
 
 from .poly import (
@@ -27,13 +26,7 @@ from .poly import (
     PolyMap,
     Polynomial,
     VarContext,
-    _fields,
-    _max_exponents,
-    _mul_into,
-    _pack,
     _sum_of_products,
-    _unpack,
-    clear_denominators,
 )
 
 SHIFT_PREFIX = "_e_"
@@ -79,7 +72,7 @@ class NilpotencyCertificate:
 class Derivation:
     """An R-linear derivation of R[fiber variables], given by generator images."""
 
-    __slots__ = ("ctx", "images", "_cleared", "_certificate")
+    __slots__ = ("ctx", "images", "_certificate")
 
     def __init__(self, ctx: VarContext, images: Mapping[str, Polynomial]):
         fiber = ctx.fiber_names
@@ -98,39 +91,14 @@ class Derivation:
                 % sorted(extra))
         self.ctx = ctx
         self.images = imgs
-        # (index, integer terms, denominator, top exponents) of each nonzero image
-        self._cleared = [(ctx.index(name), *clear_denominators(g.terms), _max_exponents(g.terms))
-                         for name, g in imgs.items() if not g.is_zero()]
         self._certificate = None
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        """Apply the derivation: the Leibniz extension of the generator images.
-
-        Every product D(t_i) * df/dt_i goes through the product kernel into
-        one integer accumulator over a common denominator.  Each product's
-        top exponents are checked in variable order as `*` would check them;
-        their maximum sizes the packed fields.
-        """
+        """Apply the derivation: the sum of D(t_i) * df/dt_i, in one accumulation."""
         if f.ctx != self.ctx:
             raise ContextMismatchError("polynomial is not in the derivation's context")
-        terms, den_f = clear_denominators(f.terms)
-        live = []
-        bounds = [0] * self.ctx.arity
-        den = 1
-        for i, image, den_g, top_g in self._cleared:
-            part = {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in terms.items() if m[i]}
-            if not part:
-                continue
-            top = list(map(add, _max_exponents(part), top_g))
-            _fields(top)  # this product's overflow check
-            bounds = list(map(max, bounds, top))
-            den = lcm(den, den_g)
-            live.append((part, image, den_g))
-        fields = _fields(bounds)
-        acc = {}
-        for part, image, den_g in live:
-            _mul_into(acc, _pack(part, fields), _pack(image, fields), den // den_g)
-        return Polynomial._trusted(self.ctx, _unpack(acc, fields, den * den_f))
+        return _sum_of_products(self.ctx, [(1, [(f.partial(name), 1), (g, 1)])
+                                           for name, g in self.images.items() if g.terms])
 
     def power(self, f: Polynomial, r: int) -> Polynomial:
         """D^r(f)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 #: Degree of the zero polynomial.
@@ -123,9 +123,7 @@ class VarContext:
 
 def clear_denominators(terms: Mapping[tuple, Fraction]):
     """(integer term dict, den) with den * terms equal to those integers."""
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*[c.denominator for c in terms.values()])
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
@@ -157,8 +155,7 @@ def _pack(terms: Mapping[tuple, int], fields: list) -> list:
 def _mul_into(acc: dict, a: list, b: list, scale: int) -> dict:
     """acc += scale * a * b over packed integer terms; returns acc.
 
-    The one product loop, under `_sum_of_products`, `_power` and
-    `Derivation.__call__`.
+    The one product loop, under `_sum_of_products` and `_power`.
     """
     get = acc.get
     for ka, ca in a:
@@ -253,7 +250,7 @@ def _coerce(c: Scalar) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial over Q in a fixed VarContext."""
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("ctx", "terms", "_hash", "_cleared")
 
     def __init__(self, ctx: VarContext, terms: Mapping[tuple, Scalar]):
         clean = {}
@@ -271,6 +268,7 @@ class Polynomial:
         self.ctx = ctx
         self.terms = clean
         self._hash = None
+        self._cleared = None
 
     @classmethod
     def _trusted(cls, ctx: VarContext, terms: dict) -> "Polynomial":
@@ -280,6 +278,7 @@ class Polynomial:
         self.ctx = ctx
         self.terms = terms
         self._hash = None
+        self._cleared = None
         return self
 
     # -- constructors -------------------------------------------------
@@ -483,68 +482,93 @@ def _apply_images(f: Polynomial, images: list, target: VarContext) -> Polynomial
                                      for mono, c in f.terms.items()])
 
 
+class _Cleared:
+    """A factor of two or more terms, as `_sum_of_products` uses it: its
+    integer terms over `den`, their top exponents, and a `_power` cache
+    over packed keys, made once the fields are known."""
+
+    __slots__ = ("poly", "terms", "den", "top", "powers")
+
+    def __init__(self, poly: Polynomial):
+        self.poly = poly  # held, so that no other factor gets its id during the call
+        if poly._cleared is None:  # kept on the immutable polynomial, like its hash
+            terms, den = clear_denominators(poly.terms)
+            poly._cleared = (terms, den, _max_exponents(terms))
+        self.terms, self.den, self.top = poly._cleared
+        self.powers = None
+
+
 def _sum_of_products(ctx: VarContext, items) -> Polynomial:
     """sum of c * prod f_i^e_i over items (c, [(f_i, e_i), ...]), every f_i in ctx.
 
     The terms go into one integer accumulator over one common denominator.
-    Each distinct factor is cleared once, in a cache keyed by id that holds
-    the factor itself, so no id is reused during the call.  A one-term
-    factor c * m scales the coefficient and shifts the monomial; every
-    other factor is packed once and its powers come from one `_power`
-    cache.  A product with a zero factor vanishes; the top exponents of
-    every other product, sum_i e_i * top(f_i), get the overflow check of
-    `*`, and their maximum sizes the packed fields.
+    Each distinct factor is read once, into a cache keyed by id that holds
+    the factor itself, so no id is reused during the call: a one-term
+    factor c * m as (f, m, numerator, denominator), which scales the
+    coefficient and shifts the monomial, and every other one as a
+    `_Cleared`.  A product with a zero factor vanishes; the top exponents
+    of every other product, sum_i e_i * top(f_i), get the overflow check
+    of `*` before any coefficient is raised to a power, and their maximum
+    sizes the packed fields.
     """
     arity = ctx.arity
-    # id -> (f, monomial, num, den), or [f, top, 0 if zero else 1, den, integer terms, powers]
-    cache = {}
+    monomials = {}
+    cleared = {}
     live = []
     bounds = [0] * arity
     den = 1
     for c, factors in items:
-        num, d = c.numerator, c.denominator
-        shift = top = [0] * arity
+        if not c:
+            continue
+        shift = [0] * arity
+        scales = []
         wide = []
         for f, e in factors:
             if not e:
                 continue
-            entry = cache.get(id(f))
-            if entry is None:
-                if f.ctx is not ctx and f.ctx != ctx:
-                    raise ContextMismatchError("factor lives in %r, not in %r" % (f.ctx, ctx))
-                if len(f.terms) == 1:
-                    (m, fc), = f.terms.items()
-                    entry = (f, m, fc.numerator, fc.denominator)
-                else:
-                    terms, fd = clear_denominators(f.terms)
-                    entry = [f, _max_exponents(terms), int(bool(terms)), fd, terms]
-                cache[id(f)] = entry
-            if not entry[2]:
-                break
-            num *= entry[2] ** e
-            d *= entry[3] ** e
-            top = [t + e * x for t, x in zip(top, entry[1])]
-            if len(entry) == 4:
-                shift = [t + e * x for t, x in zip(shift, entry[1])]
+            mono = monomials.get(id(f))
+            if mono is None:
+                factor = cleared.get(id(f))
+                if factor is None:
+                    if f.ctx is not ctx and f.ctx != ctx:
+                        raise ContextMismatchError("factor lives in %r, not in %r" % (f.ctx, ctx))
+                    if not f.terms:
+                        break
+                    if len(f.terms) == 1:
+                        (m, fc), = f.terms.items()
+                        mono = monomials[id(f)] = (f, m, fc.numerator, fc.denominator)
+                    else:
+                        factor = cleared[id(f)] = _Cleared(f)
+            if mono is None:
+                wide.append((factor, e))
             else:
-                wide.append((entry, e))
+                _, m, n, fd = mono
+                shift = [t + e * x for t, x in zip(shift, m)]
+                scales.append((n, fd, e))
         else:
-            if num:
-                if max(top, default=0) > EXPONENT_LIMIT:
-                    _fields(top)  # raises the overflow error of `*`
-                bounds = list(map(max, bounds, top))
-                den = lcm(den, d)
-                live.append((shift, num, d, wide))
+            top = shift
+            for factor, e in wide:
+                top = [t + e * x for t, x in zip(top, factor.top)]
+                scales.append((1, factor.den, e))
+            if max(top, default=0) > EXPONENT_LIMIT:
+                _fields(top)  # raises the overflow error of `*`
+            num, d = c.numerator, c.denominator
+            for n, fd, e in scales:
+                num *= n ** e
+                d *= fd ** e
+            bounds = list(map(max, bounds, top))
+            den = lcm(den, d)
+            live.append((shift, num, d, wide))
     fields = _fields(bounds)
     shifts = [s for s, _ in fields]
     acc = {}
     for shift, num, d, wide in live:
         key = sum([e << s for e, s in zip(shift, shifts)])
         powers = []
-        for entry, e in wide:
-            if len(entry) == 5:
-                entry.append({0: [(0, 1)], 1: _pack(entry[4], fields)})
-            powers.append(_power(entry[5], entry[5][1], e))
+        for factor, e in wide:
+            if factor.powers is None:
+                factor.powers = {0: [(0, 1)], 1: _pack(factor.terms, fields)}
+            powers.append(_power(factor.powers, factor.powers[1], e))
         powers.sort(key=len)
         head = powers.pop(0) if powers and not key else [(key, 1)]
         for p in powers[:-1]:

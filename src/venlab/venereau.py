@@ -136,16 +136,17 @@ def build(r, s, Q, label: str = "") -> VenereauSpec:
     z = Polynomial.variable(ctx, "z")
     u = Polynomial.variable(ctx, "u")
 
-    lam = _sum_of_products(ctx, [(1, [(z, 2)]), (1, [(r, 1), (z, 1)]), (1, [(s, 1)])])
-    p = _sum_of_products(ctx, [(1, [(y, 1), (u, 1)]), (1, [(lam, 1)])])
-    v = _sum_of_products(ctx, [(1, [(x, 1), (z, 1)]), (1, [(y, 1), (p, 1)])])
-    w = _sum_of_products(ctx, [(1, [(x, 2), (u, 1)]), (-1, [(x, 1), (lam.partial("z"), 1), (p, 1)]),
-                               (-1, [(y, 1), (p, 2)])])
-    h = _sum_of_products(ctx, [(1, [(y, 1)])] + _x_Q(1, Q, x, v, w))
+    lam = z ** 2 + r * z + s
+    p = y * u + lam
+    v = x * z + y * p
+    w = x ** 2 * u - x * lam.partial("z") * p - y * p ** 2
+    h = y + x * Q.substitute({
+        "x": x, "V": v, "W": w,
+    })
 
     # independent re-derivation: the localization identity
     # x^2 p = y w + v^2 + r x v + s x^2 must hold on the nose
-    if not _sum_of_products(ctx, [(1, [(x, 2), (p, 1)])] + _p_rhs(-1, x, y, v, w, r, s)).is_zero():
+    if x ** 2 * p != y * w + v ** 2 + r * x * v + s * x ** 2:
         raise AssertionError("internal identity x^2 p = y w + v^2 + r x v + s x^2 failed")
     if not _divisible_by_x(h - y):
         raise AssertionError("h - y must be divisible by x")

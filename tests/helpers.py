@@ -6,9 +6,9 @@ products, substitution, derivations, exponential series, determinants
 (by permutation expansion) and shifts (by direct substitution, no Taylor
 iteration) pair by pair over Fractions, with plain dict sums (none of
 them touches `Polynomial` arithmetic or the packed integer kernel behind
-`*`, `**`, substitution, `matrix_det` and `exp_shift`); localized
-witnesses by their closed-form chain over Laurent tuples (no Groebner
-basis).
+`*`, `**`, substitution, `matrix_det`, derivations and `exp_shift`);
+localized witnesses by their closed-form chain over Laurent tuples (no
+Groebner basis).
 """
 
 from __future__ import annotations

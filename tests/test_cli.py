@@ -91,7 +91,8 @@ def _run_module(module, *argv):
 @pytest.mark.parametrize("argv", [
     ["print", "--vars", "x", "x^4611686018427387904 * x"],
     ["compose", "--vars", "x", "--map", "x=x^4611686018427387904", "x^2"],
-], ids=["product", "compose"])
+    ["compose", "--vars", "x,y", "--map", "x=2*y^2", "x^4611686018427387904"],
+], ids=["product", "compose", "compose-scaled-image"])
 def test_exponent_overflow_in_arithmetic_is_usage_error(argv):
     proc = _run_module("venlab.cli", "poly", *argv)
     assert proc.returncode == 3

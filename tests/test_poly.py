@@ -509,10 +509,19 @@ def test_products_above_the_limit_raise_unless_a_factor_is_zero():
     x, y, zero = Polynomial.variable(ctx, "x"), Polynomial.variable(ctx, "y"), Polynomial.zero(ctx)
     top = x ** EXPONENT_LIMIT
     wide = top + y
+    # the check comes before any coefficient or denominator is raised to
+    # its power, so 2^(2^62) and the like are never formed
     for over in ([(top, 1), (x, 1)], [(x, EXPONENT_LIMIT + 1)], [(wide, 1), (x + 1, 1)],
-                 [(wide, 2)], [(zero, 0), (top, 1), (x, 1)]):
+                 [(wide, 2)], [(zero, 0), (top, 1), (x, 1)], [(2 * x, EXPONENT_LIMIT + 1)],
+                 [(x / 2 + y, EXPONENT_LIMIT + 1)], [(3 * y, EXPONENT_LIMIT), (x / 3 + y, 2)]):
         with pytest.raises(ExponentOverflowError):
-            _sum_of_products(ctx, [(1, over)])
+            _sum_of_products(ctx, [(Fraction(2, 3), over)])
+    with pytest.raises(ExponentOverflowError):
+        (2 * x) ** (EXPONENT_LIMIT + 1)
+    with pytest.raises(ExponentOverflowError):
+        (x / 2 + y) ** (EXPONENT_LIMIT + 1)
+    with pytest.raises(ExponentOverflowError):
+        top.substitute({"x": 2 * y ** 2})
     for vanishing in ([(top, 1), (x, 1), (zero, 1)], [(zero, 3), (wide, 2)],
                       [(wide, EXPONENT_LIMIT), (zero, 1)]):
         assert _sum_of_products(ctx, [(1, vanishing)]).is_zero()
