@@ -108,6 +108,22 @@ class Reporter:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+def _named_items(items, option: str, ctx: VarContext, noun: str, repeated: str):
+    """(name, value text) of each `name=value` item, its name in ctx and new."""
+    seen = set()
+    for item in items:
+        name, eq, value = item.partition("=")
+        name = name.strip()
+        if not eq:
+            raise ValueError("%s item %r is not name=value" % (option, item))
+        if name not in ctx:
+            raise ValueError("%s %r in %s is not in --vars" % (noun, name, option))
+        if name in seen:
+            raise ValueError("%s %r %s %s" % (noun, name, repeated, option))
+        seen.add(name)
+        yield name, value
+
+
 def _cmd_poly(args, rep: Reporter):
     ctx = _context(args)
     f = parse_polynomial(args.expr, ctx)
@@ -119,28 +135,16 @@ def _cmd_poly(args, rep: Reporter):
                  {"derivative": format_polynomial(f.partial(args.wrt))})
     elif args.action == "eval":
         point = {}
-        for item in args.at.split(","):
-            name, val = item.split("=", 1)
-            name = name.strip()
-            if name not in ctx:
-                raise ValueError("coordinate %r in --at is not in --vars" % name)
-            if name in point:
-                raise ValueError("coordinate %r given twice in --at" % name)
+        for name, val in _named_items(args.at.split(","), "--at", ctx,
+                                      "coordinate", "given twice in"):
             try:
                 point[name] = Fraction(val.strip())
             except ZeroDivisionError:
                 raise ValueError("zero denominator in --at value %r" % val.strip())
         rep.emit("poly.eval", "pass", {"value": str(f.evaluate(point))})
     elif args.action == "compose":
-        images = {}
-        for item in args.map:
-            name, expr = item.split("=", 1)
-            name = name.strip()
-            if name not in ctx:
-                raise ValueError("variable %r in --map is not in --vars" % name)
-            if name in images:
-                raise ValueError("variable %r mapped twice in --map" % name)
-            images[name] = parse_polynomial(expr, ctx)
+        images = {name: parse_polynomial(expr, ctx) for name, expr in
+                  _named_items(args.map, "--map", ctx, "variable", "mapped twice in")}
         rep.emit("poly.compose", "pass",
                  {"image": format_polynomial(f.substitute(images))})
 

@@ -76,29 +76,14 @@ class GroebnerStats:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis: monic generators, no inter-divisibility."""
+    """A reduced Groebner basis (monic, no inter-divisibility) and its packed entries."""
 
     generators: tuple
     order: MonomialOrder
     ctx: VarContext
     stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
-    # (keys, packed entries) for normal_form, set on first use
-    _packed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def _reducers(self, bound: int) -> tuple:
-        """(keys, packed basis entries) for reducing terms of degree <= bound.
-
-        Packed on first use and kept; packed again with wider fields only
-        when a target needs them.
-        """
-        packed = self._packed
-        if packed is None or packed[0].bound < bound:
-            polys = [g for g in self.generators if not g.is_zero()]
-            keys = _Keys(self.order, self.ctx.arity, max([bound] + [g.degree() for g in polys]))
-            packed = keys, [_entry(_normalize(keys.terms(clear_denominators(g.terms)[0])))
-                            for g in polys]
-            object.__setattr__(self, "_packed", packed)
-        return packed
+    _keys: _Keys = field(kw_only=True, repr=False, compare=False)
+    _entries: list = field(kw_only=True, repr=False, compare=False)
 
     def serialize(self) -> dict:
         """Order descriptor plus canonical polynomial strings."""
@@ -168,6 +153,13 @@ class _Keys:
     def rekey(self, terms, old: "_Keys") -> list:
         """(key, coeff) pairs packed by `old`, packed again by these keys."""
         return [(self.pack(old.unpack(k)), c) for k, c in terms]
+
+
+def _rekeyed(entries: list, old: _Keys, order: MonomialOrder, bound: int) -> tuple:
+    """(keys, entries): basis entries packed by `old`, packed again for degree <= bound."""
+    keys = _Keys(order, len(old.shifts), bound)
+    return keys, [(keys.pack(old.unpack(lt)), lc, keys.rekey(tail, old))
+                  for lt, lc, tail in entries]
 
 
 def _order_forms(order: MonomialOrder, arity: int) -> list:
@@ -321,8 +313,6 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
         terms = _normalize(_reduce(terms, basis, keys, budget, stats)[0])
         if terms:
             basis.append(_entry(terms))
-    if not basis:
-        return GroebnerBasis((Polynomial.zero(ctx),), order, ctx, stats=stats)
 
     leads = [keys.unpack(b[0]) for b in basis]   # exponent tuples, for lcms
     pairs = []          # heap of (lcm degree, i, j)
@@ -361,9 +351,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
         # fields before a term above the bound can enter a product
         top = max(map(keys.degree, s), default=0)
         if top > keys.bound:
-            old, keys = keys, _Keys(order, ctx.arity, max(top, 2 * keys.bound))
-            basis = [(keys.pack(old.unpack(lt)), lc, keys.rekey(tail, old))
-                     for lt, lc, tail in basis]
+            old = keys
+            keys, basis = _rekeyed(basis, old, order, max(top, 2 * keys.bound))
             s = dict(keys.rekey(s.items(), old))
         s = _normalize(_reduce(s.items(), basis, keys, budget, stats)[0])
         if not s:
@@ -377,12 +366,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
             heappush(pairs, (sum(map(max, leads[k], leads[-1])), k, new_index))
             pending.add((k, new_index))
 
-    polys = []
-    for lead, lc, tail in _interreduce(basis, keys, budget, stats):
-        polys.append(Polynomial(ctx, {keys.unpack(k): Fraction(c, lc)
-                                      for k, c in [(lead, lc)] + tail}))
+    basis = _interreduce(basis, keys, budget, stats)
+    polys = tuple(Polynomial(ctx, {keys.unpack(k): Fraction(c, lc)
+                                   for k, c in [(lead, lc)] + tail})
+                  for lead, lc, tail in basis)
     stats.basis_size = len(polys)
-    return GroebnerBasis(tuple(polys), order, ctx, stats=stats)
+    return GroebnerBasis(polys or (Polynomial.zero(ctx),), order, ctx, stats,
+                         _keys=keys, _entries=basis)
 
 
 def _interreduce(basis: list, keys: _Keys, budget: Budget, stats: GroebnerStats) -> list:
@@ -413,12 +403,16 @@ def normal_form(f: Polynomial, gb: GroebnerBasis,
     reduction runs fraction-free on den * f under the same caps as
     `buchberger`, with its own step count so that `gb.stats` describes
     the basis alone; the remainder is unique because the basis is reduced.
-    The basis is packed once and kept on `gb` for later targets.
+    The entries on `gb` are packed again only when f or the budget needs
+    wider fields.
     """
     if f.ctx != gb.ctx:
         raise ContextMismatchError("polynomial and basis contexts differ")
     work, den = clear_denominators(f.terms)
-    keys, entries = gb._reducers(max(budget.max_degree, f.degree()))
+    keys, entries = gb._keys, gb._entries
+    bound = max(budget.max_degree, f.degree())
+    if bound > keys.bound:
+        keys, entries = _rekeyed(entries, keys, gb.order, bound)
     rem, scale = _reduce(zip(map(keys.pack, work), work.values()), entries, keys,
                          budget, GroebnerStats())
     return Polynomial(f.ctx, {keys.unpack(k): Fraction(c, scale * den) for k, c in rem})
@@ -492,15 +486,7 @@ class MembershipResult:
                 return True
         images = dict(zip(self.tag_names, gens))
         if self.inv_name is not None:
-            xi, ii = self.work_ctx.index(self.invert), self.work_ctx.index(self.inv_name)
-            terms = {}
-            for mono, c in witness.terms.items():
-                m = list(mono)
-                m[xi] += k - m[ii]
-                m[ii] = 0
-                m = tuple(m)
-                terms[m] = terms.get(m, 0) + c
-            witness = Polynomial(self.work_ctx, terms)
+            witness = times_x(witness, self.invert, k)
             images[self.inv_name] = Polynomial.one(f.ctx)
         expansion = witness.substitute(images)
         if expansion != target:
@@ -530,6 +516,20 @@ def tag_ring(ctx: VarContext, n_gens: int, invert: str = None) -> tuple:
     tags = tuple("%s%d" % (TAG_PREFIX, i) for i in range(n_gens))
     work_ctx = VarContext(tuple(elim) + tuple(low) + tags)
     return work_ctx, MonomialOrder("elim", block_split=len(elim)), tags, inv_name
+
+
+def times_x(f: Polynomial, invert: str, k: int) -> Polynomial:
+    """f * x^k for the inverted variable x = `invert` of f's tag ring, with
+    every x * x_inv cancelled; k may have either sign."""
+    xi, ii = f.ctx.index(invert), f.ctx.index(INV_PREFIX + invert)
+    terms = {}
+    for mono, c in f.terms.items():
+        e = mono[xi] - mono[ii] + k
+        m = list(mono)
+        m[xi], m[ii] = max(e, 0), max(-e, 0)
+        m = tuple(m)
+        terms[m] = terms.get(m, 0) + c
+    return Polynomial(f.ctx, terms)
 
 
 def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial],

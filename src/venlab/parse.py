@@ -145,7 +145,7 @@ class _Parser:
                     coeff = Fraction(0)
             else:
                 self.error("expected a coefficient, variable or '('")
-            if coeff and max(top) > EXPONENT_LIMIT:
+            if coeff and max(top, default=0) > EXPONENT_LIMIT:
                 _fields(top)  # raises the overflow error of `*`
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":

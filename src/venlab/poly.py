@@ -15,7 +15,8 @@ block: those play the role of the base ring R in R[fiber variables] and
 are treated as constants by derivations.
 
 All values are immutable after construction; operations return new
-objects and are safe to share between threads.
+objects and are safe to share between threads.  A polynomial fills its
+hash and its cleared integer form, which every product reads, on first use.
 """
 
 from __future__ import annotations
@@ -115,11 +116,12 @@ class VarContext:
 # integer product kernel (packed exponent vectors, after Monagan & Pearce,
 # CASC 2007)
 #
-# Operands are cleared to integer numerators over one denominator, and each
-# monomial is packed into one int with a bit field per variable.  Field
-# widths come from bounds on the exponents of the result, so adding two
-# packed keys multiplies the monomials and never carries into the next
-# field.  `_sum_of_products` is the one accumulation routine on top of it.
+# Each operand is cleared once to integer numerators over one denominator,
+# kept on the polynomial (`_cleared`), and each monomial is packed into one
+# int with a bit field per variable.  Field widths come from bounds on the
+# exponents of the result, so adding two packed keys multiplies the
+# monomials and never carries into the next field.  `_sum_of_products` is
+# the one accumulation routine on top of it.
 
 def clear_denominators(terms: Mapping[tuple, Fraction]):
     """(integer term dict, den) with den * terms equal to those integers."""
@@ -482,38 +484,26 @@ def _apply_images(f: Polynomial, images: list, target: VarContext) -> Polynomial
                                      for mono, c in f.terms.items()])
 
 
-class _Cleared:
-    """A factor of two or more terms, as `_sum_of_products` uses it: its
-    integer terms over `den`, their top exponents, and a `_power` cache
-    over packed keys, made once the fields are known."""
-
-    __slots__ = ("poly", "terms", "den", "top", "powers")
-
-    def __init__(self, poly: Polynomial):
-        self.poly = poly  # held, so that no other factor gets its id during the call
-        if poly._cleared is None:  # kept on the immutable polynomial, like its hash
-            terms, den = clear_denominators(poly.terms)
-            poly._cleared = (terms, den, _max_exponents(terms))
-        self.terms, self.den, self.top = poly._cleared
-        self.powers = None
+def _cleared(f: Polynomial) -> tuple:
+    """(integer terms, den, top exponents) of f, made once and kept on f like its hash."""
+    terms, den = clear_denominators(f.terms)
+    f._cleared = (terms, den, _max_exponents(terms))
+    return f._cleared
 
 
 def _sum_of_products(ctx: VarContext, items) -> Polynomial:
     """sum of c * prod f_i^e_i over items (c, [(f_i, e_i), ...]), every f_i in ctx.
 
     The terms go into one integer accumulator over one common denominator.
-    Each distinct factor is read once, into a cache keyed by id that holds
-    the factor itself, so no id is reused during the call: a one-term
-    factor c * m as (f, m, numerator, denominator), which scales the
-    coefficient and shifts the monomial, and every other one as a
-    `_Cleared`.  A product with a zero factor vanishes; the top exponents
-    of every other product, sum_i e_i * top(f_i), get the overflow check
-    of `*` before any coefficient is raised to a power, and their maximum
-    sizes the packed fields.
+    Every factor is read in the cleared form it keeps (`_cleared`).  A
+    one-term factor scales the coefficient and shifts the monomial; any
+    other is packed once per call into a power cache keyed by id, and
+    `live` holds it so that no id is reused during the call.  A product
+    with a zero factor vanishes; the top exponents of every other product,
+    sum_i e_i * top(f_i), get the overflow check of `*` before any
+    coefficient is raised to a power, and their maximum sizes the fields.
     """
     arity = ctx.arity
-    monomials = {}
-    cleared = {}
     live = []
     bounds = [0] * arity
     den = 1
@@ -526,30 +516,22 @@ def _sum_of_products(ctx: VarContext, items) -> Polynomial:
         for f, e in factors:
             if not e:
                 continue
-            mono = monomials.get(id(f))
-            if mono is None:
-                factor = cleared.get(id(f))
-                if factor is None:
-                    if f.ctx is not ctx and f.ctx != ctx:
-                        raise ContextMismatchError("factor lives in %r, not in %r" % (f.ctx, ctx))
-                    if not f.terms:
-                        break
-                    if len(f.terms) == 1:
-                        (m, fc), = f.terms.items()
-                        mono = monomials[id(f)] = (f, m, fc.numerator, fc.denominator)
-                    else:
-                        factor = cleared[id(f)] = _Cleared(f)
-            if mono is None:
-                wide.append((factor, e))
-            else:
-                _, m, n, fd = mono
-                shift = [t + e * x for t, x in zip(shift, m)]
+            if f.ctx is not ctx and f.ctx != ctx:
+                raise ContextMismatchError("factor lives in %r, not in %r" % (f.ctx, ctx))
+            if not f.terms:
+                break
+            terms, fd, ftop = f._cleared or _cleared(f)
+            if len(terms) == 1:
+                shift = [t + e * x for t, x in zip(shift, ftop)]
+                n, = terms.values()
                 scales.append((n, fd, e))
+            else:
+                wide.append((f, e))
+                scales.append((1, fd, e))
         else:
             top = shift
-            for factor, e in wide:
-                top = [t + e * x for t, x in zip(top, factor.top)]
-                scales.append((1, factor.den, e))
+            for f, e in wide:
+                top = [t + e * x for t, x in zip(top, f._cleared[2])]
             if max(top, default=0) > EXPONENT_LIMIT:
                 _fields(top)  # raises the overflow error of `*`
             num, d = c.numerator, c.denominator
@@ -561,14 +543,15 @@ def _sum_of_products(ctx: VarContext, items) -> Polynomial:
             live.append((shift, num, d, wide))
     fields = _fields(bounds)
     shifts = [s for s, _ in fields]
+    packed = {}
     acc = {}
     for shift, num, d, wide in live:
         key = sum([e << s for e, s in zip(shift, shifts)])
         powers = []
-        for factor, e in wide:
-            if factor.powers is None:
-                factor.powers = {0: [(0, 1)], 1: _pack(factor.terms, fields)}
-            powers.append(_power(factor.powers, factor.powers[1], e))
+        for f, e in wide:
+            if id(f) not in packed:
+                packed[id(f)] = {0: [(0, 1)], 1: _pack(f._cleared[0], fields)}
+            powers.append(_power(packed[id(f)], e))
         powers.sort(key=len)
         head = powers.pop(0) if powers and not key else [(key, 1)]
         for p in powers[:-1]:
@@ -581,19 +564,19 @@ def _nonzero(acc: dict) -> list:
     return [(k, c) for k, c in acc.items() if c]
 
 
-def _power(cache: dict, base: list, e: int) -> list:
-    """base^e over packed integer terms, memoised in cache (holding 0 -> 1).
+def _power(cache: dict, e: int) -> list:
+    """cache[1]^e over packed integer terms, memoised in cache (holding 0 -> 1).
 
     One step up from a cached power when there is one, otherwise by
     squaring, so that a huge exponent costs log(e) products.
     """
     if e not in cache:
         if e - 1 in cache:
-            cache[e] = _nonzero(_mul_into({}, cache[e - 1], base, 1))
+            cache[e] = _nonzero(_mul_into({}, cache[e - 1], cache[1], 1))
         else:
-            half = _power(cache, base, e // 2)
+            half = _power(cache, e // 2)
             p = _nonzero(_mul_into({}, half, half, 1))
-            cache[e] = _nonzero(_mul_into({}, p, base, 1)) if e % 2 else p
+            cache[e] = _nonzero(_mul_into({}, p, cache[1], 1)) if e % 2 else p
     return cache[e]
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groebner import Budget, DEFAULT_BUDGET, MembershipResult, subalgebra_members, tag_ring
+from .groebner import (Budget, DEFAULT_BUDGET, MembershipResult, subalgebra_members, tag_ring,
+                       times_x)
 from .parse import format_polynomial, parse_polynomial
 from .poly import Polynomial, VarContext, _sum_of_products, jacobian_det
 
@@ -292,27 +293,14 @@ def _chain_witnesses(spec: VenereauSpec) -> Optional[list]:
     )
     if not all(_sum_of_products(ctx, items).is_zero() for items in identities):
         return None
-    work_ctx, _, tags, inv_name = tag_ring(ctx, 3, "x")
-    xi, ii = work_ctx.index("x"), work_ctx.index(inv_name)
-
-    def over_x(f: Polynomial, k: int) -> Polynomial:
-        """f * x^-k with every x * x_inv cancelled."""
-        terms = {}
-        for mono, c in f.terms.items():
-            e = mono[xi] - mono[ii] - k
-            m = list(mono)
-            m[xi], m[ii] = max(e, 0), max(-e, 0)
-            m = tuple(m)
-            terms[m] = terms.get(m, 0) + c
-        return Polynomial(work_ctx, terms)
-
+    work_ctx, _, tags, _ = tag_ring(ctx, 3, "x")
     t0, t1, t2 = (Polynomial.variable(work_ctx, t) for t in tags)
     X = Polynomial.variable(work_ctx, "x")
     r, s = r.rename_context(work_ctx), s.rename_context(work_ctx)
     y_T = _sum_of_products(work_ctx, [(1, [(t0, 1)])] + _x_Q(-1, spec.Q, X, t1, t2))
-    p_T = over_x(_sum_of_products(work_ctx, _p_rhs(1, X, y_T, t1, t2, r, s)), 2)
-    z_T = over_x(_sum_of_products(work_ctx, [(1, [(t1, 1)]), (-1, [(y_T, 1), (p_T, 1)])]), 1)
-    u_T = over_x(_sum_of_products(work_ctx, _u_rhs(1, X, y_T, z_T, p_T, t2, r)), 2)
+    p_T = times_x(_sum_of_products(work_ctx, _p_rhs(1, X, y_T, t1, t2, r, s)), "x", -2)
+    z_T = times_x(_sum_of_products(work_ctx, [(1, [(t1, 1)]), (-1, [(y_T, 1), (p_T, 1)])]), "x", -1)
+    u_T = times_x(_sum_of_products(work_ctx, _u_rhs(1, X, y_T, z_T, p_T, t2, r)), "x", -2)
     return [y_T, z_T, u_T]
 
 

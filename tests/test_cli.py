@@ -174,6 +174,31 @@ def test_poly_bad_variable_names_are_usage_errors(argv):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["eval", "--vars", "x", "--at", "x", "x"], "--at item 'x' is not name=value"),
+    (["eval", "--vars", "x", "--at", "x=1,", "x"], "--at item '' is not name=value"),
+    (["compose", "--vars", "x", "--map", "x", "x"], "--map item 'x' is not name=value"),
+    (["eval", "--vars", "x", "--at", "x=1,z=2", "x"], "coordinate 'z' in --at is not in --vars"),
+    (["eval", "--vars", "x", "--at", "x=1, x=2", "x"], "coordinate 'x' given twice in --at"),
+    (["eval", "--vars", "x", "--at", "x=1/0,z=2", "x"], "zero denominator in --at value '1/0'"),
+    (["compose", "--vars", "x", "--map", "z=1", "x"], "variable 'z' in --map is not in --vars"),
+    (["compose", "--vars", "x", "--map", "x=1", "--map", "x=2", "x"],
+     "variable 'x' mapped twice in --map"),
+], ids=["at-no-equals", "at-empty-item", "map-no-equals", "at-unknown", "at-repeated",
+        "at-zero-denominator-first", "map-unknown", "map-repeated"])
+def test_name_value_items_are_checked_in_order(capsys, argv, line):
+    assert run(capsys, "poly", *argv) == (3, "", "venlab: error: %s\n" % line)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["poly", "print", "--vars", "", "1"], "poly.print: pass  1"),
+    (["groebner", "basis", "--vars", "", "2"], "groebner.basis: pass  1"),
+    (["member", "ideal", "--vars", "", "--f", "3", "--gens", "2"], "member.ideal: pass"),
+], ids=["poly-print", "groebner-basis", "member-ideal"])
+def test_constants_over_no_variables(capsys, argv, line):
+    assert run(capsys, *argv) == (0, line + "\n", "")
+
+
 def test_python_m_venlab_runs_the_cli():
     proc = _run_module("venlab", "--json", "poly", "print", "--vars", "x,y", "y*x + 1/2")
     assert proc.returncode == 0, proc.stderr

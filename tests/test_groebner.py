@@ -15,11 +15,14 @@ from venlab.groebner import (
     normal_form,
     subalgebra_member,
     subalgebra_members,
+    tag_ring,
+    times_x,
 )
 from venlab.parse import parse_polynomial
 from venlab.poly import MonomialOrder, Polynomial, VarContext
 
-from helpers import ideal_member_linear, mono_divides, mono_mul, random_polynomial
+from helpers import (ideal_member_linear, mono_divides, mono_mul, naive_evaluate,
+                     random_polynomial)
 
 XY = VarContext(["x", "y"])
 
@@ -260,6 +263,18 @@ def test_normal_form_respects_degree_cap():
     assert normal_form(P("x^5 y^3"), gb) == P("1")
 
 
+@pytest.mark.parametrize("target", ["x^5 y^4 + 3 x^3 y^2 - x y + 2", "x^17 y^7 - 2 x^9 + y"])
+def test_normal_form_widens_the_keys_of_a_narrow_basis(target):
+    # the basis is packed for degree 4, whose fields hold exponent sums up
+    # to 15; the target and the default budget need wider ones, which
+    # normal_form makes for the call
+    gens = [P("x y - 1"), P("y^2 - x")]
+    narrow = buchberger(gens, budget=Budget(max_degree=4))
+    target = P(target)
+    assert narrow._keys.bound < target.degree()
+    assert normal_form(target, narrow) == normal_form(target, buchberger(gens))
+
+
 def test_ideal_member_basic():
     assert ideal_member(P("x^2 - 1"), [P("x - 1")])
     assert not ideal_member(Polynomial.one(XY), [P("x"), P("y")])
@@ -441,3 +456,23 @@ def test_basis_serialization():
     assert payload["order"] == "lex"
     assert payload["variables"] == ["x", "y"]
     assert all(isinstance(s, str) for s in payload["basis"])
+
+
+def test_times_x_agrees_with_evaluation_where_x_inv_is_the_reciprocal():
+    # oracle: at any point with x_inv = 1/x, times_x(f, x, k) takes the
+    # value x^k * f; and no term of the result holds both x and x_inv
+    rng = random.Random(7103)
+    ctx = VarContext(["x", "y"], coeff_block=["x"])
+    work_ctx, _, _, inv_name = tag_ring(ctx, 1, "x")
+    xi, ii = work_ctx.index("x"), work_ctx.index(inv_name)
+    for _ in range(30):
+        f = random_polynomial(rng, work_ctx, 4, max_terms=6)
+        for k in range(-3, 4):
+            g = times_x(f, "x", k)
+            assert all(not (m[xi] and m[ii]) for m in g.terms)
+            for _ in range(3):
+                point = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                         for n in work_ctx.names}
+                point["x"] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+                point[inv_name] = 1 / point["x"]
+                assert naive_evaluate(g, point) == point["x"] ** k * naive_evaluate(f, point)

@@ -212,6 +212,15 @@ def test_parse_zero():
     assert P("0").is_zero()
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1", 1), ("0", 0), ("-3/4", Fraction(-3, 4)), ("2 (3 + 1/2)", 7),
+    ("(1 + 1/2)(1/2 - 3)", Fraction(-15, 4)),
+])
+def test_parse_constants_over_an_empty_context(text, value):
+    ctx = VarContext([])
+    assert parse_polynomial(text, ctx) == Polynomial.constant(ctx, value)
+
+
 def test_parse_nested_example():
     ctx = VarContext(["x", "y", "z", "u"], coeff_block=["x"])
     f = parse_polynomial("y + x^2*(x*z + y*(y*u + z^2))", ctx)
