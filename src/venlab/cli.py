@@ -46,6 +46,7 @@ from .poly import (
     ContextMismatchError,
     ExponentOverflowError,
     MonomialOrder,
+    Polynomial,
     VarContext,
 )
 from .slice_kernel import certify_polynomial_ring, check_stably_free_shadow, kernel_from_slice
@@ -135,8 +136,8 @@ def _cmd_poly(args, rep: Reporter):
                  {"derivative": format_polynomial(f.partial(args.wrt))})
     elif args.action == "eval":
         point = {}
-        for name, val in _named_items(args.at.split(","), "--at", ctx,
-                                      "coordinate", "given twice in"):
+        items = args.at.split(",") if args.at.strip() else []  # blank: the empty point
+        for name, val in _named_items(items, "--at", ctx, "coordinate", "given twice in"):
             try:
                 point[name] = Fraction(val.strip())
             except ZeroDivisionError:
@@ -175,7 +176,7 @@ def _cmd_member(args, rep: Reporter):
     if args.kind == "ideal":
         order = MonomialOrder.parse(args.order)
         try:
-            gb = buchberger(gens, order, budget)
+            gb = buchberger(gens or [Polynomial.zero(ctx)], order, budget)
             nf = normal_form(f, gb, budget)
         except BudgetExceededError as exc:
             rep.emit("member.ideal", "undetermined", {}, {"detail": str(exc)})

@@ -224,34 +224,25 @@ def exp_automorphism(D: Derivation, t: Polynomial) -> PolyMap:
 # ---------------------------------------------------------------------------
 # slices and the Dixmier projection
 
-@dataclass(frozen=True)
-class Slice:
-    """An element s with D(s) = 1 (validated against a given derivation)."""
-
-    s: Polynomial
-
-    @classmethod
-    def check(cls, D: Derivation, s: Polynomial) -> "Slice":
-        if s.ctx != D.ctx:
-            raise ContextMismatchError("slice is not in the derivation's context")
-        if D(s) != Polynomial.one(D.ctx):
-            raise InvalidSliceError("D(s) != 1 for s = %s" % s)
-        return cls(s)
+def check_slice(D: Derivation, s: Polynomial) -> None:
+    """Raise unless s is a slice of D: an element of its context with D(s) = 1."""
+    if s.ctx != D.ctx:
+        raise ContextMismatchError("slice is not in the derivation's context")
+    if D(s) != Polynomial.one(D.ctx):
+        raise InvalidSliceError("D(s) != 1 for s = %s" % s)
 
 
-def dixmier_projection(D: Derivation, s, f: Polynomial) -> Polynomial:
+def dixmier_projection(D: Derivation, s: Polynomial, f: Polynomial) -> Polynomial:
     """pi(f) = sum_r (-s)^r D^r(f) / r!, the retraction onto Ker D given a slice.
 
     pi is a ring homomorphism fixing Ker D pointwise, with pi(s) = 0 and
     D(pi(f)) = 0 for every f.
     """
-    if isinstance(s, Slice):
-        s = s.s
-    sl = Slice.check(D, s).s
+    check_slice(D, s)
     D._require_certificate()
     if f.ctx != D.ctx:
         raise ContextMismatchError("polynomial is not in the derivation's context")
-    return _exp_series(D, -sl, f)
+    return _exp_series(D, -s, f)
 
 
 def parse_derivation(text: str, ctx: VarContext = None) -> Derivation:

@@ -442,7 +442,6 @@ class MembershipResult:
 
     status: str
     witness: Optional[Polynomial] = None
-    work_ctx: Optional[VarContext] = None
     tag_names: tuple = ()
     inv_name: Optional[str] = None
     invert: Optional[str] = None
@@ -484,7 +483,9 @@ class MembershipResult:
             if witness == expected and cf == f and cgens == tuple(gens):
                 self.expansion = target
                 return True
-        images = dict(zip(self.tag_names, gens))
+        # the coefficient block maps to itself: the expansion lands in f's context
+        images = {n: Polynomial.variable(f.ctx, n) for n in f.ctx.coeff_block}
+        images.update(zip(self.tag_names, gens))
         if self.inv_name is not None:
             witness = times_x(witness, self.invert, k)
             images[self.inv_name] = Polynomial.one(f.ctx)
@@ -569,7 +570,8 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
             * Polynomial.variable(work_ctx, inv_name) - 1)
 
     try:
-        gb = buchberger(relations, order, budget)
+        # no relations: the zero ideal, and R[] = R
+        gb = buchberger(relations or [Polynomial.zero(work_ctx)], order, budget)
     except BudgetExceededError as exc:
         for _ in targets:
             yield MembershipResult("undetermined", detail=str(exc))
@@ -587,7 +589,6 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
         result = MembershipResult(
             status=status,
             witness=nf if status == "member" else None,
-            work_ctx=work_ctx,
             tag_names=tags,
             inv_name=inv_name,
             invert=invert,

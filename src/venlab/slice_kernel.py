@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .derivation import Derivation, Slice, dixmier_projection
+from .derivation import Derivation, _exp_series, check_slice
 from .groebner import Budget, DEFAULT_BUDGET, subalgebra_members
 from .parse import format_polynomial
 from .poly import Polynomial, jacobian_matrix, matrix_det
@@ -60,19 +60,17 @@ class SliceKernelResult:
 def kernel_from_slice(D: Derivation, s, budget: Budget = DEFAULT_BUDGET) -> SliceKernelResult:
     """Project the fiber variables onto Ker D and verify B[s] = R[x,y,z].
 
-    Requires D certified locally nilpotent and D(s) = 1.  The projected
-    generators are re-checked to be annihilated by D, and each fiber
-    variable is expressed in {projected generators, s} by subalgebra
-    membership over R; those witness expressions are the computational
-    content of B[s] = R[x,y,z].
+    Checks D(s) = 1, then D's nilpotency certificate, once each; projects
+    each fiber variable by the Dixmier series, re-checked to be killed by D;
+    and expresses each fiber variable in {projected generators, s} by
+    subalgebra membership over R, the computational content of B[s] = R[x,y,z].
     """
-    if isinstance(s, Slice):
-        s = s.s
-    Slice.check(D, s)
+    check_slice(D, s)
+    D._require_certificate()
     ctx = D.ctx
     projected = {}
     for name in ctx.fiber_names:
-        pi_g = dixmier_projection(D, s, Polynomial.variable(ctx, name))
+        pi_g = _exp_series(D, -s, Polynomial.variable(ctx, name))
         if not D(pi_g).is_zero():
             raise AssertionError("projection of %s left the kernel" % name)
         projected[name] = pi_g

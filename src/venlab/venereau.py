@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .groebner import (Budget, DEFAULT_BUDGET, MembershipResult, subalgebra_members, tag_ring,
@@ -62,6 +63,28 @@ class VenereauSpec:
     @property
     def ctx(self) -> VarContext:
         return MAIN_CONTEXT
+
+    @cached_property
+    def identities_hold(self) -> bool:
+        """Whether the four identities of the construction hold on this spec:
+
+            h - y   = x Q(x, v, w)
+            x^2 p   = y w + v^2 + r x v + s x^2
+            x z     = v - y p
+            x^2 u   = w + x (2z + r) p + y p^2
+
+        Each is one zero test of a sum of products.  A copy made by
+        `corrupted` or `replace` is a new object and tests them again.
+        """
+        x, y, z, u = (Polynomial.variable(MAIN_CONTEXT, n) for n in ("x", "y", "z", "u"))
+        r, s, p, v, w = self.r, self.s, self.p, self.v, self.w
+        identities = (
+            [(1, [(self.h, 1)]), (-1, [(y, 1)])] + _x_Q(-1, self.Q, x, v, w),
+            [(1, [(x, 2), (p, 1)])] + _p_rhs(-1, x, y, v, w, r, s),
+            [(1, [(x, 1), (z, 1)]), (-1, [(v, 1)]), (1, [(y, 1), (p, 1)])],
+            [(1, [(x, 2), (u, 1)])] + _u_rhs(-1, x, y, z, p, w, r),
+        )
+        return all(_sum_of_products(MAIN_CONTEXT, items).is_zero() for items in identities)
 
     def corrupted(self, **overrides) -> "VenereauSpec":
         """A deliberately broken copy, for negative-control tests.
@@ -117,12 +140,13 @@ def _as_x_polynomial(f) -> Polynomial:
 
 
 def build(r, s, Q, label: str = "") -> VenereauSpec:
-    """Construct the spec from (r, s, Q) and re-derive every formula.
+    """Construct the spec from (r, s, Q) in the paper's operator form.
 
     Q may be a string or a Polynomial in the (x, V, W) placeholder
-    context.  The derived polynomials are validated term-by-term against
-    an independent recomputation (duplicate evaluation path) before the
-    spec is returned.
+    context.  The derived polynomials are validated against the four
+    identities of `VenereauSpec.identities_hold`, an independent
+    recomputation, before the spec is returned; the first of them makes
+    h - y divisible by x.  The result stays on the spec for the checks.
     """
     r = _as_x_polynomial(r)
     s = _as_x_polynomial(s)
@@ -145,14 +169,10 @@ def build(r, s, Q, label: str = "") -> VenereauSpec:
         "x": x, "V": v, "W": w,
     })
 
-    # independent re-derivation: the localization identity
-    # x^2 p = y w + v^2 + r x v + s x^2 must hold on the nose
-    if x ** 2 * p != y * w + v ** 2 + r * x * v + s * x ** 2:
-        raise AssertionError("internal identity x^2 p = y w + v^2 + r x v + s x^2 failed")
-    if not _divisible_by_x(h - y):
-        raise AssertionError("h - y must be divisible by x")
-
-    return VenereauSpec(r=r, s=s, Q=Q, lam=lam, p=p, v=v, w=w, h=h, label=label)
+    spec = VenereauSpec(r=r, s=s, Q=Q, lam=lam, p=p, v=v, w=w, h=h, label=label)
+    if not spec.identities_hold:
+        raise AssertionError("an internal identity of the construction failed")
+    return spec
 
 
 def family(name: str, n: int = 1, Q=None, Q2=None, r=0, s=0) -> VenereauSpec:
@@ -236,8 +256,8 @@ def check_residual(spec: VenereauSpec) -> CheckReport:
 def check_localized(spec: VenereauSpec, budget: Budget = DEFAULT_BUDGET) -> CheckReport:
     """Pass iff y, z, u all lie in Q[x]_x[h, v, w], with re-validated witnesses.
 
-    When the spec satisfies the four identities of `_chain_witnesses`,
-    each Groebner witness is matched against its closed-form chain and,
+    When `spec.identities_hold`, each Groebner witness is matched
+    against its closed-form chain from `_chain_witnesses` and,
     when equal, needs no expansion; otherwise (a corrupted spec, or a
     witness that differs) it is re-checked by substitution.
     """
@@ -263,14 +283,9 @@ def check_localized(spec: VenereauSpec, budget: Budget = DEFAULT_BUDGET) -> Chec
 def _chain_witnesses(spec: VenereauSpec) -> Optional[list]:
     """Closed-form witnesses of y, z, u in the tag ring, or None.
 
-    None unless these identities hold on the spec itself:
-
-        h - y   = x Q(x, v, w)
-        x^2 p   = y w + v^2 + r x v + s x^2
-        x z     = v - y p
-        x^2 u   = w + x (2z + r) p + y p^2
-
-    Then, with tags t0, t1, t2 for h, v, w, the chain
+    None unless the four identities of `VenereauSpec.identities_hold`
+    hold on the spec itself; the spec tested them once, and this reads
+    its answer.  Then, with tags t0, t1, t2 for h, v, w, the chain
 
         y_T = t0 - x Q(x, t1, t2)
         p_T = (y_T t2 + t1^2 + r x t1 + s x^2) x_inv^2
@@ -278,25 +293,15 @@ def _chain_witnesses(spec: VenereauSpec) -> Optional[list]:
         u_T = (t2 + x (2 z_T + r) p_T + y_T p_T^2) x_inv^2
 
     maps to y, p, z, u under t -> (h, v, w), x_inv -> 1/x, one identity
-    per step.  Each identity is one zero test of a sum of products, and
-    each step one sum, taken with x * x_inv cancelled afterwards, the
-    form of a normal form modulo x * x_inv - 1.
+    per step.  Each step is one sum of products, taken with x * x_inv
+    cancelled afterwards, the form of a normal form modulo x * x_inv - 1.
     """
-    ctx = spec.ctx
-    x, y, z, u = (Polynomial.variable(ctx, n) for n in ("x", "y", "z", "u"))
-    r, s, p, v, w = spec.r, spec.s, spec.p, spec.v, spec.w
-    identities = (
-        [(1, [(spec.h, 1)]), (-1, [(y, 1)])] + _x_Q(-1, spec.Q, x, v, w),
-        [(1, [(x, 2), (p, 1)])] + _p_rhs(-1, x, y, v, w, r, s),
-        [(1, [(x, 1), (z, 1)]), (-1, [(v, 1)]), (1, [(y, 1), (p, 1)])],
-        [(1, [(x, 2), (u, 1)])] + _u_rhs(-1, x, y, z, p, w, r),
-    )
-    if not all(_sum_of_products(ctx, items).is_zero() for items in identities):
+    if not spec.identities_hold:
         return None
-    work_ctx, _, tags, _ = tag_ring(ctx, 3, "x")
+    work_ctx, _, tags, _ = tag_ring(spec.ctx, 3, "x")
     t0, t1, t2 = (Polynomial.variable(work_ctx, t) for t in tags)
     X = Polynomial.variable(work_ctx, "x")
-    r, s = r.rename_context(work_ctx), s.rename_context(work_ctx)
+    r, s = spec.r.rename_context(work_ctx), spec.s.rename_context(work_ctx)
     y_T = _sum_of_products(work_ctx, [(1, [(t0, 1)])] + _x_Q(-1, spec.Q, X, t1, t2))
     p_T = times_x(_sum_of_products(work_ctx, _p_rhs(1, X, y_T, t1, t2, r, s)), "x", -2)
     z_T = times_x(_sum_of_products(work_ctx, [(1, [(t1, 1)]), (-1, [(y_T, 1), (p_T, 1)])]), "x", -1)
@@ -340,33 +345,31 @@ def check_jacobian(spec: VenereauSpec) -> CheckReport:
 
 def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
                  budget: Budget = DEFAULT_BUDGET,
-                 localized: Optional[CheckReport] = None) -> CheckReport:
+                 localized: Optional[CheckReport] = None,
+                 residual: Optional[CheckReport] = None) -> CheckReport:
     """Fiber checks for the morphism (x, h) at rational points (c, d).
 
     c = 0: the fiber ring Q[y,z,u]/(h(0,y,z,u) - d) is a polynomial ring
-    because h(0) = y exactly (the residual identity); verified directly.
+    because h(0) = y, the residual identity; every such sample reports it.
     c != 0: the fiber is the coordinate plane in (v, w); this is a
     corollary of the localized identities x^k * t = E(x, h, v, w) for
     t = y, z, u.  Each sample specialises the expansions E that the
     localized check already compared at x = c and confirms E(c) = c^k * t,
     so no sample re-expands a witness.  An undetermined localized check
-    propagates to every c != 0 sample.
+    propagates to every c != 0 sample.  Reports not passed in are computed.
     """
     if localized is None:
         localized = check_localized(spec, budget)
+    if residual is None:
+        residual = check_residual(spec)
+    at_zero = {"regime": "residual", "verdict": residual.verdict,
+               "fiber_ring": "Q[z,u] after eliminating y" if residual.verdict == "pass" else None}
     per_sample = {}
-    h0 = spec.h.substitute({"x": Polynomial.zero(spec.ctx)})
-    y = Polynomial.variable(spec.ctx, "y")
     for c, d in samples:
         c = Fraction(c)
         key = "(%s,%s)" % (c, d)
         if c == 0:
-            ok = h0 == y
-            per_sample[key] = {
-                "regime": "residual",
-                "verdict": "pass" if ok else "fail",
-                "fiber_ring": "Q[z,u] after eliminating y" if ok else None,
-            }
+            per_sample[key] = dict(at_zero)
         elif localized.verdict == "undetermined":
             per_sample[key] = {"regime": "localized", "verdict": "undetermined",
                                "detail": "localized identity undetermined"}
@@ -400,19 +403,20 @@ def _fiber_witnesses_hold(spec: VenereauSpec, localized: CheckReport, c: Fractio
 def run_checks(spec: VenereauSpec, checks: Sequence[str] = ("residual", "localized", "jacobian", "fibers"),
                budget: Budget = DEFAULT_BUDGET,
                samples: Sequence[tuple] = FIBER_SAMPLES) -> list:
-    """Run the named checks in order, sharing the localized result with fibers."""
+    """Run the named checks in order, sharing residual and localized with fibers."""
     reports = []
-    localized = None
+    residual = localized = None
     for name in checks:
         if name == "residual":
-            reports.append(check_residual(spec))
+            residual = check_residual(spec)
+            reports.append(residual)
         elif name == "localized":
             localized = check_localized(spec, budget)
             reports.append(localized)
         elif name == "jacobian":
             reports.append(check_jacobian(spec))
         elif name == "fibers":
-            reports.append(check_fibers(spec, samples, budget, localized))
+            reports.append(check_fibers(spec, samples, budget, localized, residual))
         else:
             raise ValueError("unknown check %r" % name)
     return reports

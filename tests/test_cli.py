@@ -145,7 +145,8 @@ def test_exponent_overflow_across_atoms(capsys, expr, code, out, err):
      "venlab: error: no value for variable 'x'"),
     (["diff", "--vars", "x,y", "--wrt", "q", "x y"],
      "venlab: error: unknown variable 'q' in context ('x', 'y')"),
-], ids=["eval-missing-coordinate", "diff-unknown-variable"])
+    (["eval", "--vars", "x", "--at", "", "x"], "venlab: error: no value for variable 'x'"),
+], ids=["eval-missing-coordinate", "diff-unknown-variable", "eval-empty-point"])
 def test_key_error_prints_its_message(argv, line):
     proc = _run_module("venlab.cli", "poly", *argv)
     assert proc.returncode == 3
@@ -194,7 +195,8 @@ def test_name_value_items_are_checked_in_order(capsys, argv, line):
     (["poly", "print", "--vars", "", "1"], "poly.print: pass  1"),
     (["groebner", "basis", "--vars", "", "2"], "groebner.basis: pass  1"),
     (["member", "ideal", "--vars", "", "--f", "3", "--gens", "2"], "member.ideal: pass"),
-], ids=["poly-print", "groebner-basis", "member-ideal"])
+    (["poly", "eval", "--vars", "", "--at", "", "1"], "poly.eval: pass  1"),
+], ids=["poly-print", "groebner-basis", "member-ideal", "poly-eval-empty-point"])
 def test_constants_over_no_variables(capsys, argv, line):
     assert run(capsys, *argv) == (0, line + "\n", "")
 
@@ -333,6 +335,21 @@ def test_member_subalgebra_inverting_a_fiber_variable_is_usage_error():
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("venlab: error:")
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, code, witnesses", [
+    (["subalgebra", "--vars", "x,y", "--coeff-vars", "x", "--f", "y"], 1, {"member": False}),
+    (["subalgebra", "--vars", "x,y", "--coeff-vars", "x", "--f", "x^2+1"], 0,
+     {"member": True, "witness": "x^2 + 1", "tags": {}, "validated": True}),
+    (["ideal", "--vars", "x", "--f", "0"], 0, {"member": True, "normal_form": "0"}),
+    (["ideal", "--vars", "x", "--f", "x"], 1, {"member": False, "normal_form": "x"}),
+], ids=["subalgebra-nonmember", "subalgebra-member", "ideal-member", "ideal-nonmember"])
+def test_empty_generator_list(capsys, argv, code, witnesses):
+    # R[] = R, and no generators make the zero ideal
+    got, out, err = run(capsys, "--json", "member", *argv, "--gens", "")
+    assert (got, err) == (code, "")
+    (rec,) = json_lines(out)
+    assert rec["witnesses"] == witnesses
 
 
 def test_member_subalgebra_nonmember(capsys):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from venlab import groebner
-from venlab.derivation import Derivation, InvalidSliceError, dixmier_projection, exp_automorphism
+from venlab import derivation, groebner, slice_kernel
+from venlab.derivation import (Derivation, InvalidSliceError, NotCertifiedError,
+                               dixmier_projection, exp_automorphism)
 from venlab.groebner import Budget
 from venlab.parse import parse_polynomial
 from venlab.poly import Polynomial, VarContext
@@ -89,6 +90,36 @@ def test_invalid_slice_rejected():
     D = Derivation(CTX, {"z": Polynomial.one(CTX)})
     with pytest.raises(InvalidSliceError):
         kernel_from_slice(D, Z ** 2)
+
+
+def test_kernel_checks_the_slice_and_the_certificate_once(monkeypatch):
+    slices, certificates = [], []
+    real_check, real_require = derivation.check_slice, Derivation._require_certificate
+
+    def check(D, s):
+        slices.append(s)
+        return real_check(D, s)
+
+    def require(self):
+        certificates.append(self)
+        return real_require(self)
+
+    monkeypatch.setattr(derivation, "check_slice", check)
+    monkeypatch.setattr(slice_kernel, "check_slice", check)
+    monkeypatch.setattr(Derivation, "_require_certificate", require)
+    D = Derivation(CTX, {"y": X, "z": Polynomial.one(CTX)})
+    assert kernel_from_slice(D, Z).generation_verdict == "pass"
+    assert slices == [Z]
+    assert certificates == [D]
+
+
+def test_kernel_checks_the_slice_before_the_certificate():
+    # D(y) = y is not locally nilpotent
+    D = Derivation(CTX, {"y": Y, "z": Polynomial.one(CTX)})
+    with pytest.raises(InvalidSliceError):
+        kernel_from_slice(D, Z ** 2)
+    with pytest.raises(NotCertifiedError):
+        kernel_from_slice(D, Z)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import localized_chain
-from venlab import cli, groebner
+from venlab import cli, groebner, venereau
 from venlab.groebner import Budget
 from venlab.parse import parse_polynomial
 from venlab.poly import Polynomial, VarContext
@@ -217,6 +217,26 @@ def test_fibers_negative_control():
     assert report.verdict == "fail"
 
 
+@pytest.mark.parametrize("corrupt, expected", [
+    (lambda spec: {"h": M("y + z")}, "fail"),
+    (lambda spec: {"h": spec.h + M("x z^2")}, "pass"),
+], ids=["residual-fails", "residual-passes"])
+def test_c0_fibers_report_the_residual_verdict(monkeypatch, corrupt, expected):
+    spec = family("venereau", 1)
+    bad = spec.corrupted(**corrupt(spec))
+    assert check_residual(bad).verdict == expected
+    calls = []
+    real = venereau.check_residual
+    monkeypatch.setattr(venereau, "check_residual", lambda spec: calls.append(spec) or real(spec))
+    samples = [(0, 0), (0, 1), (1, 0)]
+    reports = run_checks(bad, samples=samples)
+    assert len(calls) == 1
+    for fibers in (reports[-1], check_fibers(bad, samples=samples)):
+        assert fibers.witnesses["(0,0)"]["verdict"] == expected
+        assert fibers.witnesses["(0,1)"]["verdict"] == expected
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # orchestration and reports
 
@@ -296,6 +316,27 @@ def _chain_specs(seed: int) -> list:
         specs.append(replace(family("lewis", Q=Q, Q2=Q2), label="lewis Q=%s Q2=%s" % (Q, Q2)))
     specs += [build(r, s, Q, label=label) for label, (r, s, Q) in CUSTOM_SPECS.items()]
     return specs
+
+
+def test_identities_are_tested_once_per_spec(monkeypatch):
+    contexts = []
+    real = venereau._sum_of_products
+
+    def counting(ctx, items):
+        contexts.append(ctx)
+        return real(ctx, items)
+
+    monkeypatch.setattr(venereau, "_sum_of_products", counting)
+    spec = family("venereau", 2)
+    assert contexts == [MAIN_CONTEXT] * 4
+    # the four chain steps in the tag ring, and no identity again
+    assert check_localized(spec).verdict == "pass"
+    assert len(contexts) == 8 and MAIN_CONTEXT not in contexts[4:]
+    assert spec.corrupted(h=spec.h + M("x z^2")).identities_hold is False
+    # a copy tests again, so it never inherits a stale answer
+    del contexts[:]
+    assert replace(spec, label="x").identities_hold is True
+    assert contexts == [MAIN_CONTEXT] * 4
 
 
 def _laurent_terms(witness: Polynomial) -> dict:
