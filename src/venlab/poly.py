@@ -5,10 +5,11 @@ per variable of a `VarContext`, to nonzero `fractions.Fraction` values,
 so every operation is exact and canonical (gcd-reduced, positive
 denominator) by construction; `int` inputs are coerced on the way in.
 Integer coefficients and packed monomial keys exist only inside the
-product kernel (`_sum_of_products`, `_mul_into` and their helpers), which
-serves `*`, `**`, substitution, `matrix_det`, derivations and their
-series, and inside the Buchberger engine in `groebner`; both hand back
-one `Fraction` per output term.
+product kernel (`_mul_into` and its helpers) and inside the Buchberger
+engine in `groebner`; both hand back one `Fraction` per output term.  On
+the kernel, `_sum_of_products` serves `*`, `**`, `matrix_det`,
+derivations and their series, and `_apply_images` serves substitution,
+`PolyMap` and `evaluate` by Horner's rule.
 
 A context may designate a prefix of its variables as the coefficient
 block: those play the role of the base ring R in R[fiber variables] and
@@ -16,7 +17,8 @@ are treated as constants by derivations.
 
 All values are immutable after construction; operations return new
 objects and are safe to share between threads.  A polynomial fills its
-hash and its cleared integer form, which every product reads, on first use.
+hash and its cleared integer form, which every product reads, on first use,
+and a context keeps each variable polynomial it is asked for.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class VarContext:
     variables form the base ring over which derivations are linear.
     """
 
-    __slots__ = ("names", "coeff_block", "_index")
+    __slots__ = ("names", "coeff_block", "_index", "_variables")
 
     def __init__(self, names: Sequence[str], coeff_block: Sequence[str] = ()):
         names = tuple(names)
@@ -70,6 +72,7 @@ class VarContext:
         self.names = names
         self.coeff_block = coeff_block
         self._index = {n: i for i, n in enumerate(names)}
+        self._variables = {}  # name -> Polynomial.variable(self, name), made on first use
 
     @property
     def arity(self) -> int:
@@ -120,8 +123,9 @@ class VarContext:
 # kept on the polynomial (`_cleared`), and each monomial is packed into one
 # int with a bit field per variable.  Field widths come from bounds on the
 # exponents of the result, so adding two packed keys multiplies the
-# monomials and never carries into the next field.  `_sum_of_products` is
-# the one accumulation routine on top of it.
+# monomials and never carries into the next field.  Two routines accumulate
+# on top of it: `_sum_of_products` (one product per item) and `_apply_images`
+# (one Horner scheme per substitution, sharing the powers of the images).
 
 def clear_denominators(terms: Mapping[tuple, Fraction]):
     """(integer term dict, den) with den * terms equal to those integers."""
@@ -157,7 +161,7 @@ def _pack(terms: Mapping[tuple, int], fields: list) -> list:
 def _mul_into(acc: dict, a: list, b: list, scale: int) -> dict:
     """acc += scale * a * b over packed integer terms; returns acc.
 
-    The one product loop, under `_sum_of_products` and `_power`.
+    The one product loop, under `_sum_of_products`, `_horner` and `_power`.
     """
     get = acc.get
     for ka, ca in a:
@@ -299,9 +303,12 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ctx: VarContext, name: str) -> "Polynomial":
-        mono = [0] * ctx.arity
-        mono[ctx.index(name)] = 1
-        return cls(ctx, {tuple(mono): 1})
+        """The variable `name`; one object per context and name, kept on ctx."""
+        if name not in ctx._variables:
+            mono = [0] * ctx.arity
+            mono[ctx.index(name)] = 1
+            ctx._variables[name] = cls(ctx, {tuple(mono): 1})
+        return ctx._variables[name]
 
     # -- structure ----------------------------------------------------
 
@@ -479,9 +486,78 @@ class Polynomial:
 
 
 def _apply_images(f: Polynomial, images: list, target: VarContext) -> Polynomial:
-    """f at the given per-variable images (a ring homomorphism), one product per term."""
-    return _sum_of_products(target, [(c, [(images[i], e) for i, e in enumerate(mono) if e])
-                                     for mono, c in f.terms.items()])
+    """f at the given per-variable images (a ring homomorphism), by Horner's rule.
+
+    The multivariate Horner scheme (Peña & Sauer, SIAM J. Numer. Anal.
+    2000) over packed integer terms.  Each used image is read in its
+    cleared form G_i / d_i.  A one-term image scales each term's
+    coefficient and shifts its key at the leaves; the others ("wide") are
+    the Horner variables, outermost the one with the largest exponent sum
+    over f.  Over the one denominator den_f * prod d_i^E_i (E_i the top
+    exponent) the numerator is sum_m a_m prod G_i^m_i d_i^(E_i - m_i).
+    Terms with a zero image go first; the top exponents then get the
+    overflow check of `*` before any power is formed.
+    """
+    terms, den, top = f._cleared or _cleared(f)
+    used, bounds = [], [0] * target.arity
+    for i, e in enumerate(top):
+        if e:
+            g = images[i]
+            if g.ctx is not target and g.ctx != target:
+                raise ContextMismatchError("image lives in %r, not in %r" % (g.ctx, target))
+            if not g.terms:
+                return _apply_images(Polynomial._trusted(f.ctx, {
+                    m: c for m, c in f.terms.items() if not m[i]}), images, target)
+            gterms, d, gtop = g._cleared or _cleared(g)
+            bounds = [b + e * t for b, t in zip(bounds, gtop)]
+            used.append((i, e, gterms, d, gtop))
+    if max(bounds, default=0) > EXPONENT_LIMIT:  # the exact tops, term by term
+        bounds = _max_exponents([[sum([m[i] * gtop[k] for i, _, _, _, gtop in used])
+                                  for k in range(target.arity)] for m in terms])
+    fields = _fields(bounds)
+    wide, keys, scales = [], [], []
+    for i, e, gterms, d, _ in used:
+        den *= d ** e
+        packed, n = _pack(gterms, fields), 1
+        if len(packed) > 1:
+            wide.append((i, packed))
+        else:
+            (k, n), = packed
+            keys.append((i, k))
+        if n != 1 or d != 1:
+            scales.append((i, n, d, e))
+    if len(wide) > 1:
+        wide.sort(key=lambda w: -sum([m[w[0]] for m in terms]))
+    leaves = []
+    for m, c in terms.items():
+        for i, n, d, e in scales:
+            c *= n ** m[i] * d ** (e - m[i])
+        leaves.append(([m[i] for i, _ in wide], sum([m[i] * k for i, k in keys]), c))
+    powers = [{0: [(0, 1)], 1: packed} for _, packed in wide]
+    return Polynomial._trusted(target, _unpack(_horner(leaves, powers), fields, den))
+
+
+def _horner(leaves: list, powers: list, depth: int = 0) -> dict:
+    """sum of c * X^key * prod_j G_j^w_j over leaves (w, key, c), packed.
+
+    G_j is powers[j][1]; the leaves are grouped by w[depth], and from one
+    exponent present to the next the sum so far is multiplied by a cached
+    power of G_depth, so a gap of 2^40 costs log steps.
+    """
+    if depth == len(powers):
+        acc = {}
+        for _, k, c in leaves:
+            acc[k] = acc.get(k, 0) + c
+        return acc
+    groups = {}
+    for leaf in leaves:
+        groups.setdefault(leaf[0][depth], []).append(leaf)
+    acc, last = {}, max(groups)
+    for e in sorted(groups.keys() | {0}, reverse=True):
+        inner = _horner(groups[e], powers, depth + 1) if e in groups else {}
+        acc = _mul_into(inner, _nonzero(acc), _power(powers[depth], last - e), 1)
+        last = e
+    return acc
 
 
 def _cleared(f: Polynomial) -> tuple:

@@ -328,8 +328,17 @@ def _witness_payload(result: MembershipResult) -> dict:
 
 
 def check_jacobian(spec: VenereauSpec) -> CheckReport:
-    """Pass iff det d(h,v,w)/d(y,z,u) is c * x^m with c a nonzero rational."""
-    det = jacobian_det([spec.h, spec.v, spec.w], ["y", "z", "u"])
+    """Pass iff det d(h,v,w)/d(y,z,u) is c * x^m with c a nonzero rational.
+
+    When `spec.identities_hold`, h = y + x Q(x, v, w), so the h row is the
+    y row (1, 0, 0) plus x Q_V(x, v, w) times the v row plus x Q_W(x, v, w)
+    times the w row; subtracting those rows leaves det d(v,w)/d(z,u).
+    Otherwise (a corrupted spec) the 3 x 3 Leibniz sum is taken.
+    """
+    if spec.identities_hold:
+        det = jacobian_det([spec.v, spec.w], ["z", "u"])
+    else:
+        det = jacobian_det([spec.h, spec.v, spec.w], ["y", "z", "u"])
     report = CheckReport("jacobian", "fail",
                          witnesses={"determinant": format_polynomial(det)})
     if det.is_zero() or len(det.terms) != 1:
@@ -403,20 +412,26 @@ def _fiber_witnesses_hold(spec: VenereauSpec, localized: CheckReport, c: Fractio
 def run_checks(spec: VenereauSpec, checks: Sequence[str] = ("residual", "localized", "jacobian", "fibers"),
                budget: Budget = DEFAULT_BUDGET,
                samples: Sequence[tuple] = FIBER_SAMPLES) -> list:
-    """Run the named checks in order, sharing residual and localized with fibers."""
-    reports = []
-    residual = localized = None
-    for name in checks:
+    """Run the named checks in order; each runs at most once, and fibers
+    reads the residual and localized reports whatever the order."""
+    done = {}
+    return [_run_check(name, spec, budget, samples, done) for name in checks]
+
+
+def _run_check(name: str, spec: VenereauSpec, budget: Budget, samples: Sequence[tuple],
+               done: dict) -> CheckReport:
+    """The report of one check, made once and kept in `done`."""
+    if name not in done:
         if name == "residual":
-            residual = check_residual(spec)
-            reports.append(residual)
+            done[name] = check_residual(spec)
         elif name == "localized":
-            localized = check_localized(spec, budget)
-            reports.append(localized)
+            done[name] = check_localized(spec, budget)
         elif name == "jacobian":
-            reports.append(check_jacobian(spec))
+            done[name] = check_jacobian(spec)
         elif name == "fibers":
-            reports.append(check_fibers(spec, samples, budget, localized, residual))
+            done[name] = check_fibers(spec, samples, budget,
+                                      _run_check("localized", spec, budget, samples, done),
+                                      _run_check("residual", spec, budget, samples, done))
         else:
             raise ValueError("unknown check %r" % name)
-    return reports
+    return done[name]

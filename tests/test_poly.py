@@ -579,6 +579,77 @@ def test_substitute_keeps_a_huge_power_of_a_fixed_variable():
 
 
 # ---------------------------------------------------------------------------
+# substitution by Horner's rule against the pair-by-pair oracle
+
+SRC = VarContext(["t0", "t1", "t2"])
+T0, T1, T2 = (Polynomial.variable(SRC, n) for n in SRC.names)
+TARGET = VarContext(["x", "y"])
+
+
+def _check_substitution(f, given):
+    """f.substitute(given) equals the oracle, with unmentioned variables
+    going to themselves, and PolyMap and substitute agree."""
+    target = next(iter(given.values())).ctx
+    full = {n: given[n] if n in given else Polynomial.variable(target, n)
+            for n in f.ctx.names if n in given or n in f.variables_used()}
+    image = f.substitute(given)
+    assert image.terms == naive_substitute(f, full)
+    _assert_fraction_terms(image)
+    if set(given) == set(f.ctx.names):
+        assert PolyMap(f.ctx, image.ctx, full)(f) == image
+    return image
+
+
+def test_horner_squares_across_an_exponent_gap(monkeypatch):
+    from math import comb
+    from venlab import poly
+    ctx = VarContext(["t"])
+    t = Polynomial.variable(ctx, "t")
+    x = Polynomial.variable(TARGET, "x")
+    calls = []
+    real = poly._mul_into
+    monkeypatch.setattr(poly, "_mul_into", lambda *args: calls.append(1) or real(*args))
+    image = (t ** 1000 + t ** 3 + 1).substitute({"t": Fraction(2, 3) * x + 1})
+    expected = {(0, 0): Fraction(1)}
+    for k in (1000, 3):
+        for j in range(k + 1):
+            expected[(j, 0)] = expected.get((j, 0), 0) + comb(k, j) * Fraction(2, 3) ** j
+    assert image.terms == expected
+    # the gap 997 is bridged by squaring, not by 997 products
+    assert len(calls) < 30
+    # two Horner levels, both with gaps
+    _check_substitution(T0 ** 40 * T1 ** 3 + 2 * T0 ** 3 * T1 + T1 ** 7 - 1,
+                        {"t0": P("x - 1/2", TARGET), "t1": P("x y + 2", TARGET)})
+
+
+def test_horner_denominators_at_every_level():
+    rng = random.Random(4108)
+    images = {"t0": P("1/2 x + 1/3 y", TARGET), "t1": P("1/5 x - 1/5", TARGET),
+              "t2": P("3/7 y^2 + 1/4", TARGET)}
+    _check_substitution(P("1/3 t0^3 t1 - 5/2 t1^2 t2 + 7/11 t0 t1 t2^2 + 7/11", SRC), images)
+    for _ in range(20):
+        _check_substitution(_operand(rng, SRC, edges=None, max_degree=5), images)
+
+
+def test_horner_zero_image_of_an_inner_variable():
+    # t0 has the largest exponent sum, so it is the outermost variable
+    f = P("t0^4 t1 + t0^3 + 2/3 t1^2 t2 + t2 - t0 t1", SRC)
+    image = _check_substitution(f, {"t0": P("x + 1", TARGET), "t1": Polynomial.zero(TARGET),
+                                    "t2": P("x - y", TARGET)})
+    assert image == P("x^3 + 3 x^2 + 4 x + 1 - y", TARGET)
+    assert f.substitute({"t0": Polynomial.zero(SRC), "t1": Polynomial.zero(SRC),
+                         "t2": Polynomial.zero(SRC)}).is_zero()
+
+
+def test_horner_unmentioned_variables_go_to_themselves():
+    rng = random.Random(4109)
+    for _ in range(20):
+        f = _operand(rng, SRC, edges=None, max_degree=5)
+        _check_substitution(f, {"t1": P("1/2 t0 + t2^2 - 3", SRC)})
+        _check_substitution(f, {"t0": P("t1 t2 - 1/4", SRC), "t2": Fraction(5, 2) * T2})
+
+
+# ---------------------------------------------------------------------------
 # powers, evaluation and renaming against term-by-term oracles
 
 def test_power_matches_repeated_pairwise_product():

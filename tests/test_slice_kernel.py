@@ -76,6 +76,49 @@ def test_kernel_from_slice_builds_one_basis(monkeypatch):
     assert len(calls) == 1
 
 
+def test_kernel_witness_rechecks_share_products(monkeypatch):
+    """Pin the term products of the witness re-checks of one kernel.
+
+    D = phi^-1 D0 phi with D0 = (0, 2b - x^2, 1) and phi three elementary
+    steps, the shape of the benchmark's lnd instances.  Substitution by
+    Horner's rule shares the products of the generators' powers across the
+    witness terms; expanding each term as its own product took 4391, 4380
+    and 34983 term products.
+    """
+    from venlab import poly
+    from venlab.poly import PolyMap
+    P = lambda text: parse_polynomial(text, SLICE_CTX)
+    phi = phi_inv = PolyMap.identity(SLICE_CTX)
+    for var, p in (("y", P("x^2 - 2*a*x")), ("z", P("2*x*y + b")), ("x", P("1 - a*y"))):
+        step, back = ({n: Polynomial.variable(SLICE_CTX, n) + (q if n == var else 0)
+                       for n in SLICE_CTX.names} for q in (p, -p))
+        phi = phi.compose(PolyMap(SLICE_CTX, SLICE_CTX, step))
+        phi_inv = PolyMap(SLICE_CTX, SLICE_CTX, back).compose(phi_inv)
+    d0 = Derivation(SLICE_CTX, {"y": P("2*b - x^2"), "z": Polynomial.one(SLICE_CTX)})
+    D = Derivation(SLICE_CTX, {n: phi_inv(d0(phi.images[n])) for n in ("x", "y", "z")})
+    s = phi_inv(Polynomial.variable(SLICE_CTX, "z"))
+    counts, inside = [], []
+    real_mul, real_check = poly._mul_into, groebner.MembershipResult.witness_identity_holds
+
+    def counting_mul(acc, a, b, scale):
+        if inside:
+            counts[-1] += len(a) * len(b)
+        return real_mul(acc, a, b, scale)
+
+    def counting_check(self, *args):
+        counts.append(0)
+        inside.append(1)
+        try:
+            return real_check(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(poly, "_mul_into", counting_mul)
+    monkeypatch.setattr(groebner.MembershipResult, "witness_identity_holds", counting_check)
+    assert kernel_from_slice(D, s).generation_verdict == "pass"
+    assert counts == [276, 275, 3170]
+
+
 def test_kernel_failed_witness_is_undetermined(monkeypatch):
     monkeypatch.setattr(groebner.MembershipResult, "witness_identity_holds",
                         lambda self, f, gens: False)

@@ -192,6 +192,32 @@ def test_jacobian_negative_control():
     assert "determinant" in report.witnesses
 
 
+def test_jacobian_row_operation_matches_the_leibniz_oracle(monkeypatch):
+    """A spec whose identities hold takes det d(v,w)/d(z,u); a corrupted
+    one takes the 3 x 3 sum.  Both equal the permutation expansion of the
+    full matrix, byte for byte in the report."""
+    from helpers import permutation_det
+    from venlab.parse import format_polynomial
+    from venlab.poly import jacobian_matrix
+    sizes = []
+    real = venereau.jacobian_det
+    monkeypatch.setattr(venereau, "jacobian_det",
+                        lambda polys, names: sizes.append(len(polys)) or real(polys, names))
+    rng = random.Random(4110)
+    # the stress specs' h has over 200 terms, which the oracle expands slowly
+    specs = [spec for spec in _chain_specs(4110) if len(spec.h.terms) < 60]
+    for spec in specs:
+        assert spec.identities_hold
+        for bad in (spec, spec.corrupted(h=spec.h + M("x z^2")),
+                    spec.corrupted(h=spec.h + rng.choice((1, -2)) * M("y z")),
+                    spec.corrupted(w=spec.w + M("y^2 z"))):
+            del sizes[:]
+            report = check_jacobian(bad)
+            expected = permutation_det(jacobian_matrix([bad.h, bad.v, bad.w], ["y", "z", "u"]))
+            assert report.witnesses["determinant"] == format_polynomial(expected), bad.label
+            assert sizes == [2 if bad is spec else 3]
+
+
 def test_fibers_pass_and_regimes():
     spec = family("venereau", 1)
     report = check_fibers(spec, samples=[(0, 0), (0, 1), (1, 0), (2, 1)])
@@ -250,6 +276,23 @@ def test_run_checks_order_and_serialization():
         assert payload["schema"] == 1
         assert payload["check"] == r.check
         assert "data" not in payload
+
+
+@pytest.mark.parametrize("checks", [("fibers", "localized"), ("fibers", "residual"),
+                                    ("jacobian", "fibers", "residual", "localized"), ("fibers",)])
+def test_run_checks_shares_reports_whatever_the_order(monkeypatch, checks):
+    spec = family("venereau", 1)
+    default = {r.check: r.to_dict() for r in run_checks(spec)}
+    bases, residuals = [], []
+    real_basis, real_residual = groebner.buchberger, venereau.check_residual
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda *args, **kw: bases.append(1) or real_basis(*args, **kw))
+    monkeypatch.setattr(venereau, "check_residual",
+                        lambda s: residuals.append(1) or real_residual(s))
+    reports = run_checks(spec, checks)
+    assert [r.check for r in reports] == list(checks)
+    assert [r.to_dict() for r in reports] == [default[name] for name in checks]
+    assert len(bases) == 1 and len(residuals) == 1
 
 
 def test_generic_instance_passes_everything():
