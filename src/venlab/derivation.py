@@ -26,6 +26,7 @@ from .poly import (
     PolyMap,
     Polynomial,
     VarContext,
+    _derive,
     _sum_of_products,
 )
 
@@ -97,8 +98,8 @@ class Derivation:
         """Apply the derivation: the sum of D(t_i) * df/dt_i, in one accumulation."""
         if f.ctx != self.ctx:
             raise ContextMismatchError("polynomial is not in the derivation's context")
-        return _sum_of_products(self.ctx, [(1, [(f.partial(name), 1), (g, 1)])
-                                           for name, g in self.images.items() if g.terms])
+        index = self.ctx.index
+        return _derive(f, [(index(name), g) for name, g in self.images.items() if g.terms])
 
     def power(self, f: Polynomial, r: int) -> Polynomial:
         """D^r(f)."""

@@ -116,14 +116,14 @@ class _Parser:
     def term(self, out: dict, sign: int) -> None:
         """Add sign * (the next term) into the monomial-keyed dict `out`.
 
-        The term is coeff * x^exps * groups: coefficients and powers of
-        variables accumulate directly, and only parenthesised groups are
-        multiplied as polynomials, once every factor is read.  `top` holds
-        the term's top exponents while it is nonzero; going above
-        EXPONENT_LIMIT raises the error that `*` raises, and a zero factor
-        ends the checks, as it does there.
+        The term is num/den * x^exps * groups: coefficients multiply as
+        ints and powers of variables add up, the term makes one `Fraction`,
+        and only parenthesised groups are multiplied as polynomials, once
+        every factor is read.  `top` holds the term's top exponents while it
+        is nonzero; going above EXPONENT_LIMIT raises the error that `*`
+        raises, and a zero factor ends the checks, as it does there.
         """
-        coeff = Fraction(sign)
+        num, den = sign, 1
         arity = self.ctx.arity
         exps = [0] * arity
         top = [0] * arity
@@ -131,33 +131,39 @@ class _Parser:
         while True:
             kind, val, _ = self.peek()
             if kind == "int":
-                coeff *= self.coeff()
+                n, d = self.coeff()
+                num *= n
+                den *= d
             elif kind == "ident":
                 i, e = self.factor()
                 exps[i] += e
                 top[i] += e
             elif kind == "op" and val == "(":
                 g = self.group()
-                if coeff and g.terms:
+                if num and g.terms:
                     top = list(map(add, top, _max_exponents(g.terms)))
                     groups.append(g)
                 else:
-                    coeff = Fraction(0)
+                    num = 0
             else:
                 self.error("expected a coefficient, variable or '('")
-            if coeff and max(top, default=0) > EXPONENT_LIMIT:
+            if num and max(top, default=0) > EXPONENT_LIMIT:
                 _fields(top)  # raises the overflow error of `*`
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
             elif not (kind in ("int", "ident") or (kind == "op" and val == "(")):
                 break
-        if not coeff:
+        if not num:
             return
-        body = reduce(mul, groups).terms if groups else {(0,) * arity: 1}
-        for m, c in body.items():
+        coeff = Fraction(num, den)
+        if not groups:
+            m = tuple(exps)
+            out[m] = out[m] + coeff if m in out else coeff
+            return
+        for m, c in reduce(mul, groups).terms.items():
             m = tuple(map(add, m, exps))
-            out[m] = out.get(m, 0) + coeff * c
+            out[m] = out[m] + coeff * c if m in out else coeff * c
 
     def group(self) -> Polynomial:
         if self.depth == MAX_NESTING:
@@ -171,7 +177,8 @@ class _Parser:
         self.depth -= 1
         return inner
 
-    def coeff(self) -> Fraction:
+    def coeff(self) -> tuple:
+        """(numerator, denominator) of a coefficient, as ints."""
         num = int(self.next()[1])
         if self.peek()[:2] == ("op", "/"):
             self.next()
@@ -180,8 +187,8 @@ class _Parser:
             den = int(self.next()[1])
             if den == 0:
                 self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+            return num, den
+        return num, 1
 
     def factor(self) -> tuple:
         """(index, exponent) of a power of a variable."""
@@ -228,15 +235,14 @@ def format_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
                 factors.append(name)
             elif e > 1:
                 factors.append("%s^%d" % (name, e))
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
+        n, d = coeff.numerator, coeff.denominator
+        mag = -n if n < 0 else n
+        if factors and mag == 1 and d == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join(["%d/%d" % (mag, d) if d != 1 else "%d" % mag] + factors)
         if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
+            parts.append("-" + body if n < 0 else body)
         else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
+            parts.append(("- " if n < 0 else "+ ") + body)
     return " ".join(parts)

@@ -7,9 +7,9 @@ denominator) by construction; `int` inputs are coerced on the way in.
 Integer coefficients and packed monomial keys exist only inside the
 product kernel (`_mul_into` and its helpers) and inside the Buchberger
 engine in `groebner`; both hand back one `Fraction` per output term.  On
-the kernel, `_sum_of_products` serves `*`, `**`, `matrix_det`,
-derivations and their series, and `_apply_images` serves substitution,
-`PolyMap` and `evaluate` by Horner's rule.
+the kernel, `_sum_of_products` serves `*`, `**`, `matrix_det` and the
+exponential series, `_derive` applies derivations, and `_apply_images`
+serves substitution, `PolyMap` and `evaluate` by Horner's rule.
 
 A context may designate a prefix of its variables as the coefficient
 block: those play the role of the base ring R in R[fiber variables] and
@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
+from operator import add, lshift, neg
 from typing import Iterable, Mapping, Sequence, Union
 
 #: Degree of the zero polynomial.
@@ -123,9 +124,10 @@ class VarContext:
 # kept on the polynomial (`_cleared`), and each monomial is packed into one
 # int with a bit field per variable.  Field widths come from bounds on the
 # exponents of the result, so adding two packed keys multiplies the
-# monomials and never carries into the next field.  Two routines accumulate
-# on top of it: `_sum_of_products` (one product per item) and `_apply_images`
-# (one Horner scheme per substitution, sharing the powers of the images).
+# monomials and never carries into the next field.  Three routines
+# accumulate on top of it: `_sum_of_products` (one product per item),
+# `_derive` (one product per partial derivative) and `_apply_images` (one
+# Horner scheme per substitution, sharing the powers of the images).
 
 def clear_denominators(terms: Mapping[tuple, Fraction]):
     """(integer term dict, den) with den * terms equal to those integers."""
@@ -155,13 +157,14 @@ def _fields(bounds: Iterable[int]) -> list:
 
 def _pack(terms: Mapping[tuple, int], fields: list) -> list:
     shifts = [s for s, _ in fields]
-    return [(sum([e << s for e, s in zip(m, shifts)]), c) for m, c in terms.items()]
+    return [(sum(map(lshift, m, shifts)), c) for m, c in terms.items()]
 
 
 def _mul_into(acc: dict, a: list, b: list, scale: int) -> dict:
     """acc += scale * a * b over packed integer terms; returns acc.
 
-    The one product loop, under `_sum_of_products`, `_horner` and `_power`.
+    The one product loop, under `_sum_of_products`, `_derive`, `_horner`
+    and `_power`.
     """
     get = acc.get
     for ka, ca in a:
@@ -208,12 +211,12 @@ class MonomialOrder:
         if self.kind == "lex":
             return mono
         if self.kind == "grevlex":
-            return (sum(mono), tuple(-e for e in reversed(mono)))
+            return (sum(mono), tuple(map(neg, mono[::-1])))
         k = self.block_split
         head, tail = mono[:k], mono[k:]
         return (
-            sum(head), tuple(-e for e in reversed(head)),
-            sum(tail), tuple(-e for e in reversed(tail)),
+            sum(head), tuple(map(neg, head[::-1])),
+            sum(tail), tuple(map(neg, tail[::-1])),
         )
 
     def __eq__(self, other) -> bool:
@@ -622,7 +625,7 @@ def _sum_of_products(ctx: VarContext, items) -> Polynomial:
     packed = {}
     acc = {}
     for shift, num, d, wide in live:
-        key = sum([e << s for e, s in zip(shift, shifts)])
+        key = sum(map(lshift, shift, shifts))
         powers = []
         for f, e in wide:
             if id(f) not in packed:
@@ -634,6 +637,44 @@ def _sum_of_products(ctx: VarContext, items) -> Polynomial:
             head = _nonzero(_mul_into({}, head, p, 1))
         _mul_into(acc, head, powers[-1] if powers else [(0, 1)], num * (den // d))
     return Polynomial._trusted(ctx, _unpack(acc, fields, den))
+
+
+def _derive(f: Polynomial, images: list) -> Polynomial:
+    """sum of g_i * df/dt_i over (i, g_i) in images, each g_i nonzero in f's context.
+
+    f and every g_i are read in their cleared forms F / den and G_i / d_i,
+    and the terms go into one integer accumulator over den * lcm(d_i).
+    Each partial is formed on f's packed terms: the unit of field i comes
+    off the key and the coefficient is multiplied by the exponent.  The
+    top exponents of each product, top(dF/dt_i) + top(G_i), get the
+    overflow check of `*` before any product is formed.
+    """
+    terms, den, top = f._cleared or _cleared(f)
+    bounds, used, dens = top, [], 1
+    for i, g in images:
+        if not top or not top[i]:
+            continue
+        gterms, d, gtop = g._cleared or _cleared(g)
+        b = list(map(add, top, gtop))
+        b[i] -= 1
+        if max(b) > EXPONENT_LIMIT:  # the exact tops of the partial
+            b = _max_exponents([m for m in terms if m[i]])
+            b[i] -= 1
+            b = list(map(add, b, gtop))
+            if max(b) > EXPONENT_LIMIT:
+                _fields(b)  # raises the overflow error of `*`
+        bounds = list(map(max, bounds, b))
+        dens = lcm(dens, d)
+        used.append((i, gterms, d))
+    fields = _fields(bounds)
+    packed = _pack(terms, fields)
+    acc = {}
+    for i, gterms, d in used:
+        shift, mask = fields[i]
+        unit = 1 << shift
+        partial = [(k - unit, c * e) for k, c in packed if (e := (k >> shift) & mask)]
+        _mul_into(acc, partial, _pack(gterms, fields), dens // d)
+    return Polynomial._trusted(f.ctx, _unpack(acc, fields, den * dens))
 
 
 def _nonzero(acc: dict) -> list:

@@ -364,8 +364,9 @@ def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
     corollary of the localized identities x^k * t = E(x, h, v, w) for
     t = y, z, u.  Each sample specialises the expansions E that the
     localized check already compared at x = c and confirms E(c) = c^k * t,
-    so no sample re-expands a witness.  An undetermined localized check
-    propagates to every c != 0 sample.  Reports not passed in are computed.
+    once per distinct c, so no sample re-expands a witness.  An undetermined
+    localized check propagates to every c != 0 sample.  Reports not passed
+    in are computed.
     """
     if localized is None:
         localized = check_localized(spec, budget)
@@ -374,6 +375,7 @@ def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
     at_zero = {"regime": "residual", "verdict": residual.verdict,
                "fiber_ring": "Q[z,u] after eliminating y" if residual.verdict == "pass" else None}
     per_sample = {}
+    holds = {}  # c -> whether the witnesses specialise at x = c
     for c, d in samples:
         c = Fraction(c)
         key = "(%s,%s)" % (c, d)
@@ -385,7 +387,9 @@ def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
         elif localized.verdict == "fail":
             per_sample[key] = {"regime": "localized", "verdict": "fail"}
         else:
-            ok = _fiber_witnesses_hold(spec, localized, c)
+            if c not in holds:
+                holds[c] = _fiber_witnesses_hold(spec, localized, c)
+            ok = holds[c]
             per_sample[key] = {
                 "regime": "localized",
                 "verdict": "pass" if ok else "fail",

@@ -8,11 +8,13 @@ iteration) pair by pair over Fractions, with plain dict sums (none of
 them touches `Polynomial` arithmetic or the packed integer kernel behind
 `*`, `**`, substitution, `matrix_det`, derivations and `exp_shift`);
 localized witnesses by their closed-form chain over Laurent tuples (no
-Groebner basis).
+Groebner basis); the canonical printed form by `Fraction` arithmetic and
+monomial orders written out from their definitions (no `MonomialOrder`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -369,3 +371,64 @@ def random_triangular_slice_instance(rng: random.Random,
     D = Derivation(ctx, images)
     s = phi_inv(z)
     return D, s
+
+
+# ---------------------------------------------------------------------------
+# oracle 6: the canonical printed form, with the monomial orders written
+# out from their definitions (no `MonomialOrder`)
+
+def _sign(n) -> int:
+    return (n > 0) - (n < 0)
+
+
+def _lex_cmp(a: tuple, b: tuple) -> int:
+    """The first differing exponent decides; the larger one is bigger."""
+    for x, y in zip(a, b):
+        if x != y:
+            return _sign(x - y)
+    return 0
+
+
+def _grevlex_cmp(a: tuple, b: tuple) -> int:
+    """Higher total degree is bigger; on a tie, the last differing exponent
+    decides, and the smaller one is bigger."""
+    if sum(a) != sum(b):
+        return _sign(sum(a) - sum(b))
+    for x, y in reversed(list(zip(a, b))):
+        if x != y:
+            return _sign(y - x)
+    return 0
+
+
+def _order_cmp(order: str):
+    """Comparison for 'lex', 'grevlex' or 'elim:<k>' (grevlex on the first k
+    exponents, ties broken by grevlex on the rest)."""
+    if order == "lex":
+        return _lex_cmp
+    if order == "grevlex":
+        return _grevlex_cmp
+    k = int(order.split(":")[1])
+    return lambda a, b: _grevlex_cmp(a[:k], b[:k]) or _grevlex_cmp(a[k:], b[k:])
+
+
+def naive_format(f: Polynomial, order: str = "grevlex") -> str:
+    """The canonical string of f: terms descending in `order`, each signed
+    coefficient printed as a `Fraction`, a unit coefficient dropped before a
+    monomial, '^' for exponents above 1 and '*' between factors."""
+    if not f.terms:
+        return "0"
+    monos = sorted(f.terms, key=functools.cmp_to_key(_order_cmp(order)), reverse=True)
+    out = ""
+    for mono in monos:
+        c = f.terms[mono]
+        factors = [name if e == 1 else "%s^%s" % (name, e)
+                   for name, e in zip(f.ctx.names, mono) if e]
+        if factors and abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(c))] + factors)
+        if not out:
+            out = body if c > 0 else "-" + body
+        else:
+            out += (" + " if c > 0 else " - ") + body
+    return out

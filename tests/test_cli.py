@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, report format, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -413,6 +414,38 @@ def test_lnd_kernel_full_pipeline(capsys, dfile):
     assert payload["generation"]["verdict"] == "pass"
     assert payload["polynomial_ring_pair"]["verdict"] == "pass"
     assert payload["stably_free_shadow"]["verdict"] == "pass"
+
+
+#: A fixed instance of the benchmark's template B: D = phi^-1 D0 phi with
+#: D0 = (0, 2*b - x^2, 1) and phi adding x^2 - 2*a*x to y, -x*y + 2*b to z
+#: and 2*a*y - 1 to x; s = phi^-1(z) is a slice.
+TEMPLATE_B = """# constants: a b
+D(x) = -8*a^3*y^2 + 8*a^2*x*y - 2*a*x^2 + 8*a^2*y + 4*a*b - 4*a*x - 2*a
+D(y) = -4*a^2*y^2 + 4*a*x*y - x^2 + 4*a*y + 2*b - 2*x - 1
+D(z) = -8*a^3*y^3 + 12*a^2*x*y^2 - 6*a*x^2*y + 12*a^2*y^2 + x^3 + 4*a*b*y - 12*a*x*y \
+- 2*b*x + 3*x^2 - 6*a*y - 2*b + 3*x + 2
+"""
+TEMPLATE_B_SLICE = "-2*a*y^2 + x*y - 2*b + y + z"
+
+#: (extra arguments, exit code, sha256 of stdout) per `lnd` subcommand.
+LND_STDOUT_SHA256 = {
+    "nilpotent": ([], 0, "8ac7e398699d56fde70f0714d0126640f744fcaa9bea45503e2102e497ca16eb"),
+    "exp": (["--t", "1/2*a"], 0, "cb7234bfdb831f97f4b3d38ac0e5dc476de848ef139bd55a3a033c6129f80102"),
+    "dixmier": (["--slice", TEMPLATE_B_SLICE, "--f", "x*z - 1/2*y^2 + 2/3*a*z"], 0,
+                "bfedf57c149d80c37da8f84c2eb169856c50ab637390963eba2d55eb32dfaa8b"),
+    "kernel": (["--slice", TEMPLATE_B_SLICE], 0,
+               "a1f6e85c2ea59a78b436dfbfbc58ee65053216e5576db4bd0c8506995bb15ee5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LND_STDOUT_SHA256))
+def test_lnd_stdout_bytes_are_pinned(capsys, tmp_path, command):
+    extra, code_expected, digest = LND_STDOUT_SHA256[command]
+    path = tmp_path / "B.der"
+    path.write_text(TEMPLATE_B)
+    code, out, _ = run(capsys, "--json", "lnd", command, "--derivation", str(path), *extra)
+    assert code == code_expected
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lnd_bad_slice_is_usage_error(capsys, dfile):

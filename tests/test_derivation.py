@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from venlab import derivation, poly
 from venlab.derivation import (
     DEFAULT_NILPOTENCY_CAP,
     Derivation,
@@ -357,6 +358,28 @@ def test_apply_overflow_matches_oracle():
         with pytest.raises(ExponentOverflowError, match="^exponent 4611686018427387905 exceeds limit$"):
             run()
     assert D(Polynomial(EDGE_CTX, {(0, 2 ** 62 - 1, 1): 1})).terms == {(0, 2 ** 62, 0): 1}
+
+
+def test_apply_overflow_counts_only_the_terms_of_each_partial():
+    # the x^(2^62) term has no y, so d/dy keeps only y and D(f) = x
+    f = Polynomial(EDGE_CTX, {(0, 2 ** 62, 0): 1, (0, 0, 1): 1})
+    D = Derivation(EDGE_CTX, {"y": Polynomial.variable(EDGE_CTX, "x")})
+    assert D(f).terms == naive_derivation(D, f.terms) == {(0, 1, 0): 1}
+
+
+def test_apply_runs_in_the_kernel(monkeypatch):
+    D, _ = random_triangular_slice_instance(random.Random(5))
+    f = random_polynomial(random.Random(6), D.ctx, 4, max_terms=6, allow_zero=False)
+    expected = naive_derivation(D, f.terms)
+    assert expected
+
+    def forbidden(*args):
+        raise AssertionError("Derivation.__call__ left the kernel's derivation routine")
+
+    monkeypatch.setattr(Polynomial, "partial", forbidden)
+    monkeypatch.setattr(poly, "_sum_of_products", forbidden)
+    monkeypatch.setattr(derivation, "_sum_of_products", forbidden)
+    assert D(f).terms == expected
 
 
 def test_exp_and_dixmier_match_series_oracle():

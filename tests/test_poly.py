@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from venlab.poly import (
     ContextMismatchError,
     ExponentOverflowError,
     NEG_INFINITY,
+    MonomialOrder,
     PolyMap,
     Polynomial,
     VarContext,
@@ -19,7 +21,7 @@ from venlab.poly import (
 )
 from venlab.parse import ParseError, format_polynomial, parse_polynomial
 
-from helpers import naive_evaluate, naive_product, naive_substitute
+from helpers import naive_evaluate, naive_format, naive_product, naive_substitute
 
 CTX = VarContext(["x", "y", "z"])
 X, Y, Z = (Polynomial.variable(CTX, n) for n in "xyz")
@@ -203,6 +205,71 @@ def test_polymap_is_homomorphism(f, g):
 @given(polys)
 def test_print_parse_round_trip(f):
     assert parse_polynomial(format_polynomial(f), CTX) == f
+
+
+ORDERS = ("lex", "grevlex", "elim:1", "elim:2", "elim:3")
+
+
+def _key_by_generators(order, mono):
+    """MonomialOrder.key as written with generator expressions."""
+    if order.kind == "lex":
+        return mono
+    if order.kind == "grevlex":
+        return (sum(mono), tuple(-e for e in reversed(mono)))
+    k = order.block_split
+    head, tail = mono[:k], mono[k:]
+    return (sum(head), tuple(-e for e in reversed(head)),
+            sum(tail), tuple(-e for e in reversed(tail)))
+
+
+@pytest.mark.parametrize("text", ORDERS)
+def test_order_key_matches_its_generator_form(text):
+    rng = random.Random(text)
+    order = MonomialOrder.parse(text)
+    for _ in range(300):
+        mono = tuple(rng.choice((0, 0, 1, 2, 5, 2**40)) for _ in range(rng.randint(4, 6)))
+        assert order.key(mono) == _key_by_generators(order, mono)
+
+
+#: Coefficients with a unit, a negative sign, a denominator, or many digits.
+PRINT_COEFFS = (1, -1, 2, -7, Fraction(3, 4), Fraction(-5, 6), Fraction(1, 3),
+                Fraction(-1, 2), 10**20 + 1, Fraction(-(10**12), 7))
+
+
+@pytest.mark.parametrize("text", ORDERS)
+def test_format_matches_naive_oracle(text):
+    rng = random.Random(text)
+    ctx = VarContext(["a", "x", "y", "z"])
+    order = MonomialOrder.parse(text)
+    printed = []
+    for _ in range(60):
+        terms = {tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(4)): rng.choice(PRINT_COEFFS)
+                 for _ in range(rng.randint(0, 6))}
+        if rng.random() < 0.4:
+            terms[(0, 0, 0, 0)] = rng.choice(PRINT_COEFFS)
+        f = Polynomial(ctx, terms)
+        printed.append(format_polynomial(f, order))
+        assert printed[-1] == naive_format(f, text)
+    joined = "\n".join(printed)
+    for feature in (r"^-", r"- 1/2\b", r"\+ [a-z]", r"- [a-z]", r"\d/\d",
+                    r"[-+] \d+(/\d+)?$", r"\d{20}", r"^0$"):
+        assert re.search(feature, joined, re.M), feature
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("0*(x+1)", {}),
+    ("x - x", {}),
+    ("2/4*x", {(1, 0, 0): Fraction(1, 2)}),
+    ("-3/6", {(0, 0, 0): Fraction(-1, 2)}),
+    ("2*3/4*x*5", {(1, 0, 0): Fraction(15, 2)}),
+    ("(x+1)*2/3*y", {(1, 1, 0): Fraction(2, 3), (0, 1, 0): Fraction(2, 3)}),
+])
+def test_parse_coefficients_are_reduced_fractions(text, terms):
+    f = P(text)
+    assert f == Polynomial(CTX, terms)
+    for c in f.terms.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,23 @@ def test_fibers_pass_and_regimes():
     assert report.stats["samples"] == 4
 
 
+def test_fibers_decide_each_sample_point_once(monkeypatch):
+    # FIBER_SAMPLES lists each c = 1, -1, 2 twice (d = 0, 1); the witness
+    # check depends on c alone
+    calls = []
+    original = venereau._fiber_witnesses_hold
+
+    def counting(spec, localized, c):
+        calls.append(c)
+        return original(spec, localized, c)
+
+    monkeypatch.setattr(venereau, "_fiber_witnesses_hold", counting)
+    report = check_fibers(family("venereau", 1))
+    assert report.verdict == "pass"
+    assert report.stats["samples"] == 8
+    assert sorted(calls) == [-1, 1, 2]
+
+
 def test_fibers_propagate_undetermined():
     spec = family("venereau", 1)
     report = check_fibers(spec, samples=[(0, 0), (1, 0)],
