@@ -244,10 +244,11 @@ def _cmd_lnd(args, rep: Reporter):
 
 def _make_spec(args) -> vn.VenereauSpec:
     if args.family:
-        return vn.family(args.family, n=args.n, Q=args.Q, Q2=args.Q2,
-                         r=args.r or 0, s=args.s or 0)
+        return vn.family(args.family, n=args.n, Q=args.Q, Q2=args.Q2, r=args.r, s=args.s)
     if args.Q is None:
         raise ValueError("either --family or --Q is required")
+    if args.Q2 is not None:
+        raise ValueError("--Q2 is taken by --family lewis only")
     return vn.build(args.r or 0, args.s or 0, args.Q, label="custom")
 
 
@@ -266,6 +267,9 @@ def _cmd_venereau(args, rep: Reporter):
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not checks:
         raise ValueError("--checks names no check")
+    twice = next((c for i, c in enumerate(checks) if c in checks[:i]), None)
+    if twice is not None:
+        raise ValueError("check %r named twice in --checks" % twice)
     for report in vn.run_checks(spec, checks, _budget(args)):
         rep.emit_report(report)
 

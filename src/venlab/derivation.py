@@ -6,12 +6,17 @@ Leibniz rule, concretely D = sum_i D(t_i) * d/dt_i in characteristic
 zero.
 
 Provided here:
-  * nilpotency certification (semi-decision with an iteration cap);
+  * `Derivation.iterates`, the one loop that applies D until it kills f;
+  * nilpotency certification (semi-decision with an iteration cap), whose
+    certificate keeps each fiber variable's iterates for the series;
   * the order-r divided Taylor operator and the exponential shift
     f |-> f(t + e) into a context with fresh shift variables;
   * exponential automorphisms exp(t*D) for kernel parameters t;
   * the Dixmier projection pi(f) = sum_r (-s)^r D^r(f) / r! onto Ker D
     determined by a slice s (an element with D(s) = 1).
+
+Each series is one sum of products over its iterates; a series of more
+than MAX_SERIES_TERMS terms raises BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
+from .groebner import BudgetExceededError
 from .poly import (
     ContextMismatchError,
     PolyMap,
@@ -36,7 +42,7 @@ SHIFT_PREFIX = "_e_"
 DEFAULT_NILPOTENCY_CAP = 64
 
 #: Most terms an exponential-type series (exp shift, exp automorphism,
-#: Dixmier projection) may take before it is abandoned.
+#: Dixmier projection) may take; one more raises BudgetExceededError.
 MAX_SERIES_TERMS = 10_000
 
 
@@ -54,20 +60,25 @@ class KernelMembershipError(ValueError):
 
 @dataclass(frozen=True)
 class NilpotencyCertificate:
-    """Per-generator vanishing indices, or Undetermined if the cap was hit.
+    """Per-generator iterates, or Undetermined if the cap was hit.
 
-    Certified means: for each fiber generator g, D^(indices[g])(g) = 0
-    with the index minimal.  By the Leibniz rule this implies local
-    nilpotency on the whole ring.
+    Certified means: for each fiber generator g, iterates[g] lists g, ...,
+    D^(k-1)(g) and D^k(g) = 0, so its length k is the minimal vanishing
+    index.  By the Leibniz rule this implies local nilpotency on the whole
+    ring.  Undetermined keeps the generators certified before the cap hit.
     """
 
     status: str  # 'certified' | 'undetermined'
-    indices: Mapping[str, int]
+    iterates: Mapping[str, list]
     cap: int
 
     @property
     def certified(self) -> bool:
         return self.status == "certified"
+
+    @property
+    def indices(self) -> dict:
+        return {name: len(chain) for name, chain in self.iterates.items()}
 
 
 class Derivation:
@@ -109,31 +120,37 @@ class Derivation:
             f = self(f)
         return f
 
-    def is_kernel_element(self, f: Polynomial) -> bool:
-        return self(f).is_zero()
+    def iterates(self, f: Polynomial, limit: int) -> list:
+        """[f, D(f), D^2(f), ...] up to the last nonzero one, at most `limit` of them.
+
+        Raises BudgetExceededError, after `limit` applications of D, when
+        D^limit(f) != 0.
+        """
+        out = []
+        while not f.is_zero():
+            if len(out) == limit:
+                raise BudgetExceededError("series term cap exceeded (%d terms)" % limit)
+            out.append(f)
+            f = self(f)
+        return out
 
     def certify_nilpotent(self, cap: int = DEFAULT_NILPOTENCY_CAP) -> NilpotencyCertificate:
         """Try to certify local nilpotency within `cap` iterations per generator.
 
-        Returns a Certified certificate with minimal vanishing indices, or
-        Undetermined when some generator survives `cap` applications.
+        Returns a Certified certificate holding each generator's iterates,
+        or Undetermined when some generator survives `cap` applications.
         Never a false negative: Undetermined makes no claim.
         """
         if cap <= 0:
             raise ValueError("cap must be positive")
-        indices = {}
+        chains = {}
         for name in self.ctx.fiber_names:
-            g = Polynomial.variable(self.ctx, name)
-            n = 0
-            while not g.is_zero():
-                if n >= cap:
-                    return NilpotencyCertificate("undetermined", dict(indices), cap)
-                g = self(g)
-                n += 1
-            indices[name] = n
-        cert = NilpotencyCertificate("certified", indices, cap)
-        self._certificate = cert
-        return cert
+            try:
+                chains[name] = self.iterates(Polynomial.variable(self.ctx, name), cap)
+            except BudgetExceededError:
+                return NilpotencyCertificate("undetermined", chains, cap)
+        self._certificate = NilpotencyCertificate("certified", chains, cap)
+        return self._certificate
 
     def _require_certificate(self) -> NilpotencyCertificate:
         cert = self._certificate
@@ -157,11 +174,11 @@ def shift_context(ctx: VarContext) -> VarContext:
     return ctx.extend([SHIFT_PREFIX + n for n in ctx.fiber_names])
 
 
-def _shift_derivation(ext: VarContext, fiber: tuple) -> Derivation:
-    """The derivation sum_i e_i * d/dt_i on the extended context."""
-    return Derivation(ext, {
-        n: Polynomial.variable(ext, SHIFT_PREFIX + n) for n in fiber
-    })
+def _shift_derivation(ctx: VarContext) -> Derivation:
+    """The derivation sum_i e_i * d/dt_i on `shift_context(ctx)`."""
+    ext = shift_context(ctx)
+    return Derivation(ext, {n: Polynomial.variable(ext, SHIFT_PREFIX + n)
+                            for n in ctx.fiber_names})
 
 
 def taylor_term(f: Polynomial, r: int) -> Polynomial:
@@ -173,25 +190,14 @@ def taylor_term(f: Polynomial, r: int) -> Polynomial:
     """
     if r < 0:
         raise ValueError("order must be nonnegative")
-    ext = shift_context(f.ctx)
-    E = _shift_derivation(ext, f.ctx.fiber_names)
-    return E.power(f.rename_context(ext), r)
+    E = _shift_derivation(f.ctx)
+    return E.power(f.rename_context(E.ctx), r)
 
 
-def _exp_series(D: Derivation, a: Polynomial, f: Polynomial) -> Polynomial:
-    """sum_r a^r D^r(f) / r!, finite when D kills f after finitely many steps.
-
-    The iterates D^r(f) come first, then one sum of products over all of
-    them, in which a vanishing a leaves only f.
-    """
-    iterates = []
-    while not f.is_zero():
-        if len(iterates) > MAX_SERIES_TERMS:
-            raise NotCertifiedError("exponential series did not terminate within %d terms"
-                                    % MAX_SERIES_TERMS)
-        iterates.append(f)
-        f = D(f)
-    return _sum_of_products(f.ctx, [(Fraction(1, factorial(r)), [(a, r), (g, 1)])
+def _exp_series(a: Polynomial, iterates: list) -> Polynomial:
+    """sum_r a^r D^r(f) / r! over the iterates D^r(f) of f, as one sum of
+    products, in which a vanishing a leaves only f."""
+    return _sum_of_products(a.ctx, [(Fraction(1, factorial(r)), [(a, r), (g, 1)])
                                     for r, g in enumerate(iterates)])
 
 
@@ -201,24 +207,26 @@ def exp_shift(f: Polynomial) -> Polynomial:
     The sum is finite: each application of the shift operator lowers the
     degree in the fiber variables.
     """
-    ext = shift_context(f.ctx)
-    E = _shift_derivation(ext, f.ctx.fiber_names)
-    return _exp_series(E, Polynomial.one(ext), f.rename_context(ext))
+    E = _shift_derivation(f.ctx)
+    f = f.rename_context(E.ctx)
+    return _exp_series(Polynomial.one(E.ctx), E.iterates(f, MAX_SERIES_TERMS))
 
 
 def exp_automorphism(D: Derivation, t: Polynomial) -> PolyMap:
     """The ring endomorphism f |-> sum_r t^r D^r(f) / r!.
 
     Requires D certified locally nilpotent and t in Ker D; under those
-    hypotheses it is an automorphism with inverse exp(-t*D).
+    hypotheses it is an automorphism with inverse exp(-t*D).  Each fiber
+    variable's series runs over the iterates the certificate keeps.
     """
     if t.ctx != D.ctx:
         raise ContextMismatchError("parameter is not in the derivation's context")
-    D._require_certificate()
-    if not D.is_kernel_element(t):
+    chains = D._require_certificate().iterates
+    if not D(t).is_zero():
         raise KernelMembershipError("exp parameter must lie in Ker D: D(%s) != 0" % t)
     ctx = D.ctx
-    images = {name: _exp_series(D, t, Polynomial.variable(ctx, name)) for name in ctx.names}
+    images = {name: _exp_series(t, chains[name]) if name in chains
+              else Polynomial.variable(ctx, name) for name in ctx.names}
     return PolyMap(ctx, ctx, images)
 
 
@@ -243,7 +251,7 @@ def dixmier_projection(D: Derivation, s: Polynomial, f: Polynomial) -> Polynomia
     D._require_certificate()
     if f.ctx != D.ctx:
         raise ContextMismatchError("polynomial is not in the derivation's context")
-    return _exp_series(D, -s, f)
+    return _exp_series(-s, D.iterates(f, MAX_SERIES_TERMS))
 
 
 def parse_derivation(text: str, ctx: VarContext = None) -> Derivation:

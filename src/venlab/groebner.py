@@ -241,10 +241,8 @@ def _reduce(terms, basis: list, keys: _Keys, budget: Budget, stats: GroebnerStat
             raise BudgetExceededError("reduction step cap exceeded")
         q = m - lt
         g = gcd(c, lc)
-        a = lc // g          # multiply work side
+        a = lc // g          # multiply work side (positive: _normalize makes lc > 0)
         b = c // g           # multiply reducer side
-        if a < 0:
-            a, b = -a, -b
         if a != 1:
             scale *= a
             for k in work:

@@ -66,22 +66,19 @@ def kernel_from_slice(D: Derivation, s, budget: Budget = DEFAULT_BUDGET) -> Slic
     subalgebra membership over R, the computational content of B[s] = R[x,y,z].
     """
     check_slice(D, s)
-    D._require_certificate()
-    ctx = D.ctx
-    projected = {}
-    for name in ctx.fiber_names:
-        pi_g = _exp_series(D, -s, Polynomial.variable(ctx, name))
+    projected = {name: _exp_series(-s, chain)
+                 for name, chain in D._require_certificate().iterates.items()}
+    for name, pi_g in projected.items():
         if not D(pi_g).is_zero():
             raise AssertionError("projection of %s left the kernel" % name)
-        projected[name] = pi_g
 
     gens = list(projected.values()) + [s]
     gen_labels = ["pi(%s)" % n for n in projected] + ["s"]
     verdict = "pass"
     witnesses = {}
-    targets = [Polynomial.variable(ctx, name) for name in ctx.fiber_names]
+    targets = [Polynomial.variable(D.ctx, name) for name in projected]
     results = subalgebra_members(targets, gens, budget=budget)
-    for name, result in zip(ctx.fiber_names, results):
+    for name, result in zip(projected, results):
         if result.status == "undetermined":
             verdict = "undetermined"
             witnesses[name] = {"status": "undetermined", "detail": result.detail}
@@ -111,33 +108,26 @@ def certify_polynomial_ring(result: SliceKernelResult,
     yields 'undetermined': the two generators promised by the theory need
     not occur among these three pairs.
     """
-    ctx = result.derivation.ctx
-    names = list(result.kernel_generators)
-    fiber = list(ctx.fiber_names)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            gi, gj = result.kernel_generators[names[i]], result.kernel_generators[names[j]]
-            rest = [n for n in names if n not in (names[i], names[j])]
-            if not _jacobian_rank2(gi, gj, fiber):
-                continue
-            ok = True
-            witness_info = {}
-            targets = [result.kernel_generators[n] for n in rest]
-            members = subalgebra_members(targets, [gi, gj], budget=budget)
-            for n, member in zip(rest, members):
-                if not member:
-                    ok = False
-                    break
-                witness_info["pi(%s)" % n] = format_polynomial(member.witness)
-            if ok:
-                result.two_generator_subset = (names[i], names[j])
-                result.pair_verdict = "pass"
-                result.pair_witnesses = {
-                    "pair": ["pi(%s)" % names[i], "pi(%s)" % names[j]],
-                    "third_generator_membership": witness_info,
-                    "jacobian_rank": 2,
-                }
-                return result
+    generators = result.kernel_generators
+    fiber = list(result.derivation.ctx.fiber_names)
+    for i, j in combinations(generators, 2):
+        if not _jacobian_rank2(generators[i], generators[j], fiber):
+            continue
+        rest = [n for n in generators if n not in (i, j)]
+        members = subalgebra_members([generators[n] for n in rest],
+                                     [generators[i], generators[j]], budget=budget)
+        witness_info = {}
+        for n, member in zip(rest, members):
+            if not member:
+                break
+            witness_info["pi(%s)" % n] = format_polynomial(member.witness)
+        else:
+            result.two_generator_subset = (i, j)
+            result.pair_verdict = "pass"
+            result.pair_witnesses = {"pair": ["pi(%s)" % i, "pi(%s)" % j],
+                                     "third_generator_membership": witness_info,
+                                     "jacobian_rank": 2}
+            return result
     result.pair_verdict = "undetermined"
     result.pair_witnesses = {"detail": "no projected-generator pair certified"}
     return result

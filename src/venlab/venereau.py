@@ -175,16 +175,23 @@ def build(r, s, Q, label: str = "") -> VenereauSpec:
     return spec
 
 
-def family(name: str, n: int = 1, Q=None, Q2=None, r=0, s=0) -> VenereauSpec:
+def family(name: str, n: int = 1, Q=None, Q2=None, r=None, s=None) -> VenereauSpec:
     """Named families.
 
       * venereau:            r = s = 0, Q = x^(n-1) V   (h = y + x^n v)
       * bhatwadekar-dutta:   r = 1, s = 0, Q = x^(n-1) V
-      * daigle-freudenburg:  general r, s, Q = x^(n-1) V
+      * daigle-freudenburg:  general r, s (default 0), Q = x^(n-1) V
       * lewis:               r = s = 0, h = y + x^2 Q + x^3 v Q2(x, v^2, w)
+
+    None means "not given" for r, s, Q and Q2; giving one that the family
+    does not take raises ValueError.
     """
     if name not in FAMILY_NAMES:
         raise ValueError("unknown family %r (expected one of %s)" % (name, ", ".join(FAMILY_NAMES)))
+    takes = {"daigle-freudenburg": ("r", "s"), "lewis": ("Q", "Q2")}.get(name, ())
+    for option, value in (("r", r), ("s", s), ("Q", Q), ("Q2", Q2)):
+        if value is not None and option not in takes:
+            raise ValueError("the %s family does not take %s" % (name, option))
     if name != "lewis" and n < 1:
         raise ValueError("family parameter n must be >= 1, got %d" % n)
     xq = Polynomial.variable(Q_CONTEXT, "x")
@@ -195,7 +202,7 @@ def family(name: str, n: int = 1, Q=None, Q2=None, r=0, s=0) -> VenereauSpec:
     if name == "bhatwadekar-dutta":
         return build(1, 0, xq ** (n - 1) * V, label="b%d" % n)
     if name == "daigle-freudenburg":
-        return build(r, s, xq ** (n - 1) * V, label="df%d" % n)
+        return build(r or 0, s or 0, xq ** (n - 1) * V, label="df%d" % n)
     # lewis
     if Q is None:
         raise ValueError("the lewis family needs Q")
@@ -230,26 +237,26 @@ def _u_rhs(sign: int, x, y, z, p, w, r) -> list:
 # ---------------------------------------------------------------------------
 # checks
 
-def _divisible_by_x(f: Polynomial) -> bool:
-    i = f.ctx.index("x")
-    return all(m[i] >= 1 for m in f.terms)
-
-
-def _div_x(f: Polynomial) -> Polynomial:
-    i = f.ctx.index("x")
-    return Polynomial(f.ctx, {m[:i] + (m[i] - 1,) + m[i + 1:]: c for m, c in f.terms.items()})
-
-
 def check_residual(spec: VenereauSpec) -> CheckReport:
-    """Pass iff h reduces to y modulo the ideal (x), with the quotient as witness."""
-    diff = spec.h - Polynomial.variable(spec.ctx, "y")
-    if not _divisible_by_x(diff):
-        at_zero = spec.h.substitute({"x": Polynomial.zero(spec.ctx)})
+    """Pass iff h reduces to y modulo the ideal (x), with the quotient as witness.
+
+    One pass over h splits it as x q + h(0); the check passes iff h(0) = y,
+    and then q = (h - y) / x.
+    """
+    i = spec.ctx.index("x")
+    quotient, at_zero = {}, {}
+    for m, c in spec.h.terms.items():
+        if m[i]:
+            quotient[m[:i] + (m[i] - 1,) + m[i + 1:]] = c
+        else:
+            at_zero[m] = c
+    at_zero = Polynomial._trusted(spec.ctx, at_zero)
+    if at_zero != Polynomial.variable(spec.ctx, "y"):
         return CheckReport("residual", "fail", witnesses={
             "h_mod_x": format_polynomial(at_zero),
         })
     return CheckReport("residual", "pass", witnesses={
-        "quotient_of_h_minus_y_by_x": format_polynomial(_div_x(diff)),
+        "quotient_of_h_minus_y_by_x": format_polynomial(Polynomial._trusted(spec.ctx, quotient)),
     })
 
 

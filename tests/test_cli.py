@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from venlab import cli
+from venlab import cli, derivation
 from venlab.cli import build_parser, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -405,6 +405,19 @@ def test_lnd_dixmier(capsys, dfile):
     assert rec["witnesses"]["projection"] == "-a*x*z + y"
 
 
+def test_lnd_series_term_cap_is_a_budget(capsys, dfile, monkeypatch):
+    # under D(z) = 1, z^k has k + 1 iterates; more than MAX_SERIES_TERMS exits 2
+    argv = ["--json", "lnd", "dixmier", "--derivation", dfile, "--slice", "z", "--f"]
+    line = "venlab: resource budget exceeded: series term cap exceeded (%d terms)\n"
+    code, out, err = run(capsys, *argv, "z^10001")
+    assert (code, out, err) == (2, "", line % 10_000)
+    monkeypatch.setattr(derivation, "MAX_SERIES_TERMS", 5)
+    code, out, _ = run(capsys, *argv, "z^4")
+    assert code == 0
+    assert json_lines(out)[0]["witnesses"]["projection"] == "0"
+    assert run(capsys, *argv, "z^5") == (2, "", line % 5)
+
+
 def test_lnd_kernel_full_pipeline(capsys, dfile):
     code, out, _ = run(capsys, "--json", "lnd", "kernel",
                        "--derivation", dfile, "--slice", "z")
@@ -493,6 +506,41 @@ def test_venereau_empty_check_list_is_usage_error(capsys, checks):
     assert code == 3
     assert out == ""
     assert "no check" in err
+
+
+#: Spec options that the chosen family does not take, and checks named twice.
+SPEC_USAGE_ERRORS = [
+    (["build", "--family", "venereau", "--r", "x"], "the venereau family does not take r"),
+    (["family", "--family", "venereau", "--s", "1"], "the venereau family does not take s"),
+    (["verify", "--family", "venereau", "--Q", "W"], "the venereau family does not take Q"),
+    (["build", "--family", "venereau", "--Q2", "W"], "the venereau family does not take Q2"),
+    (["family", "--family", "bhatwadekar-dutta", "--r", "x"],
+     "the bhatwadekar-dutta family does not take r"),
+    (["verify", "--family", "bhatwadekar-dutta", "--s", "1"],
+     "the bhatwadekar-dutta family does not take s"),
+    (["build", "--family", "bhatwadekar-dutta", "--Q", "W"],
+     "the bhatwadekar-dutta family does not take Q"),
+    (["family", "--family", "bhatwadekar-dutta", "--Q2", "W"],
+     "the bhatwadekar-dutta family does not take Q2"),
+    (["verify", "--family", "daigle-freudenburg", "--Q", "W", "--checks", "residual"],
+     "the daigle-freudenburg family does not take Q"),
+    (["build", "--family", "daigle-freudenburg", "--r", "x", "--Q2", "W"],
+     "the daigle-freudenburg family does not take Q2"),
+    (["family", "--family", "lewis", "--Q", "V", "--r", "x"], "the lewis family does not take r"),
+    (["verify", "--family", "lewis", "--Q", "V", "--s", "1"], "the lewis family does not take s"),
+    (["build", "--r", "x", "--Q", "V", "--Q2", "W"], "--Q2 is taken by --family lewis only"),
+    (["verify", "--family", "venereau", "--checks", "residual,residual"],
+     "check 'residual' named twice in --checks"),
+    (["verify", "--family", "venereau", "--checks", "jacobian, residual ,jacobian"],
+     "check 'jacobian' named twice in --checks"),
+]
+
+
+@pytest.mark.parametrize("argv, line", SPEC_USAGE_ERRORS,
+                         ids=[" ".join(argv[1:]) for argv, _ in SPEC_USAGE_ERRORS])
+def test_venereau_options_the_spec_does_not_take_are_usage_errors(capsys, argv, line):
+    code, out, err = run(capsys, "--json", "venereau", *argv)
+    assert (code, out, err) == (3, "", "venlab: error: %s\n" % line)
 
 
 #: Byte-pinned reports of the budget-starved v1 verify (--budget-degree 4).

@@ -23,6 +23,7 @@ from venlab.derivation import (
     shift_context,
     taylor_term,
 )
+from venlab.groebner import BudgetExceededError
 from venlab.parse import parse_polynomial
 from venlab.poly import ExponentOverflowError, Polynomial, VarContext
 
@@ -91,6 +92,30 @@ def test_certify_triangular_indices():
     cert = triangular().certify_nilpotent()
     assert cert.certified
     assert cert.indices == {"x": 1, "y": 2, "z": 3}
+
+
+def test_certificate_keeps_the_iterates():
+    cert = triangular().certify_nilpotent()
+    assert cert.iterates == {"x": [X], "y": [Y, X], "z": [Z, Y, X]}
+    assert cert.indices == {name: len(chain) for name, chain in cert.iterates.items()}
+
+
+@pytest.mark.parametrize("cap, status, indices, applications", [
+    (2, "undetermined", {"x": 1, "y": 2}, 5),
+    (3, "certified", {"x": 1, "y": 2, "z": 3}, 6),
+    (4, "certified", {"x": 1, "y": 2, "z": 3}, 6),
+])
+def test_certificate_cap_boundary(monkeypatch, cap, status, indices, applications):
+    # z has index 3, so D^cap(z) != 0 exactly when cap < 3; an undetermined
+    # certificate keeps the generators certified before z, and z costs cap
+    # applications of D before it is given up
+    D = triangular()
+    calls = []
+    real = Derivation.__call__
+    monkeypatch.setattr(Derivation, "__call__", lambda self, f: calls.append(f) or real(self, f))
+    cert = D.certify_nilpotent(cap)
+    assert (cert.status, cert.indices, len(calls)) == (status, indices, applications)
+    assert (D._certificate is cert) == cert.certified
 
 
 def test_certify_single_partial():
@@ -397,6 +422,18 @@ def test_exp_and_dixmier_match_series_oracle():
             assert images[name].terms == naive_exp_series(D, t.terms, var.terms)
         f = random_polynomial(rng, ctx, 3)
         assert dixmier_projection(D, s, f).terms == naive_exp_series(D, (-s).terms, f.terms)
+
+
+def test_series_take_at_most_max_series_terms(monkeypatch):
+    # under D = d/dz, z^k has the k + 1 iterates z^k, ..., k!
+    monkeypatch.setattr(derivation, "MAX_SERIES_TERMS", 4)
+    D = Derivation(CTX, {"z": Polynomial.one(CTX)})
+    assert D.iterates(Z ** 3, 4) == [Z ** 3, 3 * Z ** 2, 6 * Z, Polynomial.constant(CTX, 6)]
+    assert dixmier_projection(D, Z, Z ** 3).is_zero()
+    assert exp_shift(Z ** 3) == shifted_by_substitution(Z ** 3)
+    for series in (lambda: dixmier_projection(D, Z, Z ** 4), lambda: exp_shift(Z ** 4)):
+        with pytest.raises(BudgetExceededError, match=r"^series term cap exceeded \(4 terms\)$"):
+            series()
 
 
 def test_exp_series_stops_at_its_last_term():

@@ -187,6 +187,34 @@ def test_reduced_basis_ignores_generator_order_scale_and_repeats(order):
     assert proper >= 6
 
 
+@pytest.mark.parametrize("order", ["lex", "grevlex", "elim:1", "elim:2"])
+def test_every_lead_coefficient_is_positive(monkeypatch, order):
+    # _reduce scales its work side by lc / gcd(c, lc), which is positive
+    # only because every basis entry has a positive lead coefficient; so
+    # do the entries that a wide normal form packs again
+    order = MonomialOrder.parse(order)
+    rng = random.Random(47)
+    ctx = VarContext(["x", "y", "z"])
+    passed = []
+    real = groebner._reduce
+
+    def reduce(terms, basis, *rest):
+        passed.append(basis)
+        return real(terms, basis, *rest)
+
+    monkeypatch.setattr(groebner, "_reduce", reduce)
+    for _ in range(8):
+        gens = [random_polynomial(rng, ctx, 3, max_terms=3, allow_zero=False) * -3
+                for _ in range(rng.randint(2, 3))]
+        gb = buchberger(gens, order, Budget(max_degree=8))
+        assert all(lc > 0 for _, lc, _ in gb._entries)
+        passed.clear()
+        normal_form(random_polynomial(rng, ctx, 3, allow_zero=False) * P("x^10", ctx), gb)
+        (basis,) = passed
+        assert basis is not gb._entries and len(basis) == len(gb._entries)
+        assert all(lc > 0 for _, lc, _ in basis)
+
+
 @pytest.mark.parametrize("split, reductions, pairs", [(1, 39, 15), (2, 119, 23)])
 def test_elimination_basis_work_counts_are_pinned(split, reductions, pairs):
     # the reduction steps and their order are part of the contract: the

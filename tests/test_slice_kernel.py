@@ -156,6 +156,24 @@ def test_kernel_checks_the_slice_and_the_certificate_once(monkeypatch):
     assert certificates == [D]
 
 
+def test_series_reuse_the_certificate(monkeypatch):
+    # once D is certified, exp(t D) applies D only to check t, and the
+    # kernel projections only to check the slice and then each projection
+    D, s = random_triangular_slice_instance(random.Random(7))
+    D.certify_nilpotent()
+    calls = []
+    real = Derivation.__call__
+    monkeypatch.setattr(Derivation, "__call__", lambda self, f: calls.append(f) or real(self, f))
+    a = Polynomial.variable(D.ctx, "a")
+    images = exp_automorphism(D, a).images
+    assert calls == [a]
+    assert images["a"] == a and images["b"] == Polynomial.variable(D.ctx, "b")
+    calls.clear()
+    result = kernel_from_slice(D, s)
+    assert result.generation_verdict == "pass"
+    assert calls == [s] + list(result.kernel_generators.values())
+
+
 def test_kernel_checks_the_slice_before_the_certificate():
     # D(y) = y is not locally nilpotent
     D = Derivation(CTX, {"y": Y, "z": Polynomial.one(CTX)})

@@ -88,6 +88,24 @@ def test_family_validation():
         build("y", 0, "V")  # r must be univariate in x
 
 
+@pytest.mark.parametrize("name, option, value", [
+    ("venereau", "r", "x"), ("venereau", "s", 0), ("venereau", "Q", "V"),
+    ("venereau", "Q2", "W"), ("bhatwadekar-dutta", "r", 1), ("bhatwadekar-dutta", "Q", "W"),
+    ("daigle-freudenburg", "Q", "W"), ("daigle-freudenburg", "Q2", "W"),
+    ("lewis", "r", "x"), ("lewis", "s", "1"),
+])
+def test_family_rejects_a_parameter_it_does_not_take(name, option, value):
+    given = {"Q": "V"} if name == "lewis" else {}
+    with pytest.raises(ValueError, match="^the %s family does not take %s$" % (name, option)):
+        family(name, **given, **{option: value})
+
+
+def test_family_parameters_not_given_take_their_defaults():
+    assert family("daigle-freudenburg", 2).h == build(0, 0, "x*V").h
+    assert family("daigle-freudenburg", 1, r="x").h == build("x", 0, "V").h
+    assert family("lewis", Q="V").h == family("lewis", Q="V", Q2="0").h
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -106,6 +124,12 @@ def test_residual_negative_control():
     report = check_residual(bad)
     assert report.verdict == "fail"
     assert report.witnesses["h_mod_x"] == "y + z"
+
+
+@pytest.mark.parametrize("h, at_zero", [("y + z + x*u", "y + z"), ("x*y", "0")])
+def test_residual_witness_is_h_at_x_equals_0(h, at_zero):
+    report = check_residual(family("venereau", 1).corrupted(h=M(h)))
+    assert (report.verdict, report.witnesses) == ("fail", {"h_mod_x": at_zero})
 
 
 def test_localized_pass_with_witnesses():
@@ -190,6 +214,15 @@ def test_jacobian_negative_control():
     report = check_jacobian(bad)
     assert report.verdict == "fail"
     assert "determinant" in report.witnesses
+
+
+def test_jacobian_one_term_without_x_fails():
+    # h = y, v = z, w = z u: the 3 x 3 determinant is z, one term but not c x^m
+    spec = family("venereau", 1).corrupted(h=M("y"), v=M("z"), w=M("z*u"))
+    assert spec.identities_hold is False
+    report = check_jacobian(spec)
+    assert report.verdict == "fail"
+    assert report.witnesses == {"determinant": "z"}
 
 
 def test_jacobian_row_operation_matches_the_leibniz_oracle(monkeypatch):
