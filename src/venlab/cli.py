@@ -249,6 +249,8 @@ def _make_spec(args) -> vn.VenereauSpec:
         raise ValueError("either --family or --Q is required")
     if args.Q2 is not None:
         raise ValueError("--Q2 is taken by --family lewis only")
+    if args.n is not None:
+        raise ValueError("--n is taken by a named --family only")
     return vn.build(args.r or 0, args.s or 0, args.Q, label="custom")
 
 
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     for action in ("build", "family", "verify"):
         p = ven.add_parser(action)
         p.add_argument("--family", choices=vn.FAMILY_NAMES, default=None)
-        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--n", type=int, default=None, help="family parameter (default 1)")
         p.add_argument("--r", default=None, help="polynomial in x")
         p.add_argument("--s", default=None, help="polynomial in x")
         p.add_argument("--Q", default=None, help="polynomial in x, V, W")

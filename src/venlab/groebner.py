@@ -6,7 +6,9 @@ and full tail reduction to a unique reduced basis.  Internally all
 reductions are fraction-free over Z on content-normalized integer
 polynomials whose monomials are packed integer keys ordered like the
 monomial order, with each leading term taken from a heap; the published
-basis is monic over Q, keyed by exponent tuples.
+basis is monic over Q, keyed by exponent tuples.  Each queued S-pair
+carries its lcm, taken once from the packed leads, and the criteria test
+it against the packed leads inline.
 
 Subalgebra membership f in R[g_1..g_m] uses tag-variable elimination:
 adjoin tags t_i with relations t_i - g_i (and x*x_inv - 1 when a variable
@@ -312,57 +314,82 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
         if terms:
             basis.append(_entry(terms))
 
-    leads = [keys.unpack(b[0]) for b in basis]   # exponent tuples, for lcms
-    pairs = []          # heap of (lcm degree, i, j)
-    pending = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            heappush(pairs, (sum(map(max, leads[i], leads[j])), i, j))
-            pending.add((i, j))
+    # The pair bookkeeping reads only the exponent fields of the keys (the
+    # low arity fields, below the degree field).  There the lcm of two leads
+    # is their fieldwise max, leads a and b are coprime when that max is
+    # a + b, and a divides b when b - a borrows into no guard bit.
+    pairs = []      # heap of (lcm degree, i, j)
+    queued = []     # queued[j]: {i: exponent fields of the lcm} for each queued pair (i, j)
+
+    def fields(keys):
+        """(exponent fields, their guard bits, field width, a 1 in each field,
+        shift of the last field) of `keys`."""
+        low = (1 << keys.deg_shift) - 1
+        ones = sum(keys.units) & low
+        return low, keys.guard & low, keys.mask.bit_length(), ones, ones.bit_length() - 1
+
+    low, guard, width, ones, last = fields(keys)
+    raws = [b[0] & low for b in basis]      # exponent fields of each lead
+
+    def queue(j):
+        """Queue every pair (i, j) with i < j, its lcm taken once."""
+        b, mask = raws[j], keys.mask
+        lcms = {}
+        for i in range(j):
+            a = raws[i]
+            t = ((a | guard) - b) & guard       # the guard bit of each field where a >= b
+            t -= t >> width                     # turned into ones over that field
+            lcms[i] = r = (a & t) | (b & ~t)
+            # every field summed into the last one: the lcm degree
+            heappush(pairs, (((r * ones) >> last) & mask, i, j))
+        queued.append(lcms)
+
+    for j in range(len(basis)):
+        queue(j)
 
     while pairs:
-        _, i, j = heappop(pairs)
-        pending.discard((i, j))
-        fi, fj = basis[i], basis[j]
-        l = keys.pack(map(max, leads[i], leads[j]))
+        d, i, j = heappop(pairs)
+        r = queued[j].pop(i)
         # coprime leading terms: S-polynomial reduces to zero
-        if l == fi[0] + fj[0]:
+        if r == raws[i] + raws[j]:
             continue
-        # chain criterion
+        # chain criterion: another lead divides the lcm, and neither of its
+        # pairs with i and j is still queued
         skip = False
-        for k, fk in enumerate(basis):
-            if k == i or k == j:
+        for k, rk in enumerate(raws):
+            if (r - rk) & guard or k == i or k == j:
                 continue
-            if keys.divides(fk[0], l):
-                pi = (min(i, k), max(i, k))
-                pj = (min(j, k), max(j, k))
-                if pi not in pending and pj not in pending:
-                    skip = True
-                    break
+            if (i not in queued[k] if i < k else k not in queued[i]) and \
+                    (j not in queued[k] if j < k else k not in queued[j]):
+                skip = True
+                break
         if skip:
             continue
         stats.pairs_processed += 1
-        if keys.degree(l) > budget.max_degree:
+        if d > budget.max_degree:
             raise BudgetExceededError("degree cap exceeded in S-pair")
-        s = _spoly(fi, fj, l, keys)
+        s = _spoly(basis[i], basis[j], keys.pack(keys.unpack(r)), keys)
         # S-polynomial tails are not held to the degree cap; widen the
-        # fields before a term above the bound can enter a product
-        top = max(map(keys.degree, s), default=0)
+        # fields before a term above the bound can enter a product, and
+        # pack the basis and the queued lcms again
+        top = max([k & keys.deg_field for k in s], default=0) >> keys.deg_shift
         if top > keys.bound:
             old = keys
             keys, basis = _rekeyed(basis, old, order, max(top, 2 * keys.bound))
             s = dict(keys.rekey(s.items(), old))
+            low, guard, width, ones, last = fields(keys)
+            raws = [b[0] & low for b in basis]
+            for lcms in queued:
+                for iq, rq in lcms.items():
+                    lcms[iq] = keys.pack(old.unpack(rq)) & low
         s = _normalize(_reduce(s.items(), basis, keys, budget, stats)[0])
         if not s:
             continue
-        new_index = len(basis)
         basis.append(_entry(s))
-        leads.append(keys.unpack(s[0][0]))
+        raws.append(s[0][0] & low)
         if len(basis) > budget.max_basis:
             raise BudgetExceededError("basis size cap exceeded")
-        for k in range(new_index):
-            heappush(pairs, (sum(map(max, leads[k], leads[-1])), k, new_index))
-            pending.add((k, new_index))
+        queue(len(basis) - 1)
 
     basis = _interreduce(basis, keys, budget, stats)
     polys = tuple(Polynomial(ctx, {keys.unpack(k): Fraction(c, lc)

@@ -175,7 +175,7 @@ def build(r, s, Q, label: str = "") -> VenereauSpec:
     return spec
 
 
-def family(name: str, n: int = 1, Q=None, Q2=None, r=None, s=None) -> VenereauSpec:
+def family(name: str, n: int = None, Q=None, Q2=None, r=None, s=None) -> VenereauSpec:
     """Named families.
 
       * venereau:            r = s = 0, Q = x^(n-1) V   (h = y + x^n v)
@@ -183,16 +183,17 @@ def family(name: str, n: int = 1, Q=None, Q2=None, r=None, s=None) -> VenereauSp
       * daigle-freudenburg:  general r, s (default 0), Q = x^(n-1) V
       * lewis:               r = s = 0, h = y + x^2 Q + x^3 v Q2(x, v^2, w)
 
-    None means "not given" for r, s, Q and Q2; giving one that the family
-    does not take raises ValueError.
+    None means "not given" for n (default 1), r, s, Q and Q2; giving one
+    that the family does not take raises ValueError.
     """
     if name not in FAMILY_NAMES:
         raise ValueError("unknown family %r (expected one of %s)" % (name, ", ".join(FAMILY_NAMES)))
-    takes = {"daigle-freudenburg": ("r", "s"), "lewis": ("Q", "Q2")}.get(name, ())
-    for option, value in (("r", r), ("s", s), ("Q", Q), ("Q2", Q2)):
+    takes = {"daigle-freudenburg": ("n", "r", "s"), "lewis": ("Q", "Q2")}.get(name, ("n",))
+    for option, value in (("n", n), ("r", r), ("s", s), ("Q", Q), ("Q2", Q2)):
         if value is not None and option not in takes:
             raise ValueError("the %s family does not take %s" % (name, option))
-    if name != "lewis" and n < 1:
+    n = 1 if n is None else n
+    if n < 1:
         raise ValueError("family parameter n must be >= 1, got %d" % n)
     xq = Polynomial.variable(Q_CONTEXT, "x")
     V = Polynomial.variable(Q_CONTEXT, "V")

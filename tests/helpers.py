@@ -9,12 +9,15 @@ them touches `Polynomial` arithmetic or the packed integer kernel behind
 `*`, `**`, substitution, `matrix_det`, derivations and `exp_shift`);
 localized witnesses by their closed-form chain over Laurent tuples (no
 Groebner basis); the canonical printed form by `Fraction` arithmetic and
-monomial orders written out from their definitions (no `MonomialOrder`).
+monomial orders written out from their definitions (no `MonomialOrder`);
+Groebner bases and their work counts by Buchberger's rules over
+`Fraction`s on exponent tuples (no packed keys, no fraction-free steps).
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -432,3 +435,88 @@ def naive_format(f: Polynomial, order: str = "grevlex") -> str:
         else:
             out += (" + " if c > 0 else " - ") + body
     return out
+
+
+# ---------------------------------------------------------------------------
+# oracle 7: Buchberger's algorithm over Fractions, with the rules of
+# `groebner.buchberger` written out on exponent-tuple dicts (no packed
+# keys, no fraction-free arithmetic, no `MonomialOrder`)
+
+def naive_buchberger(gens, order: str) -> tuple:
+    """(basis, pairs_processed, reductions, basis_size) of the ideal of `gens`.
+
+    The rules: each input is reduced against the inputs kept before it;
+    pairs are taken by (lcm degree, i, j); a pair whose leads are coprime
+    is dropped, and so is one whose lcm the lead of some third element k
+    divides while neither pair (i, k) nor (j, k) is still queued (the chain
+    criterion); every nonzero remainder joins the basis.  A reduction step
+    takes the largest remaining term and the first element, in basis order,
+    whose lead divides it.  Then the basis is minimalized (ascending by
+    lead) and each element reduced by the others in that order.  `basis` is
+    the monic reduced basis as term dicts, ascending by lead; `reductions`
+    counts the steps of all three stages.
+    """
+    key = functools.cmp_to_key(_order_cmp(order))
+    steps = 0
+
+    def monic(f):
+        lt = max(f, key=key)
+        return lt, {m: c / f[lt] for m, c in f.items()}
+
+    def reduce(f, basis):
+        nonlocal steps
+        f, rem = dict(f), {}
+        while f:
+            m = max(f, key=key)
+            divisor = next((e for e in basis if mono_divides(e[0], m)), None)
+            if divisor is None:
+                rem[m] = f.pop(m)
+                continue
+            steps += 1
+            lt, g = divisor
+            f = naive_sum((1, f), (-f[m], naive_product({mono_div(m, lt): 1}, g)))
+        return rem
+
+    basis = []      # (lead, monic term dict)
+    for g in gens:
+        f = reduce({m: Fraction(c) for m, c in g.terms.items()}, basis)
+        if f:
+            basis.append(monic(f))
+    pairs, pending = [], set()
+
+    def queue(i, j):
+        heapq.heappush(pairs, (sum(mono_lcm(basis[i][0], basis[j][0])), i, j))
+        pending.add((i, j))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            queue(i, j)
+    processed = 0
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
+        (ti, fi), (tj, fj) = basis[i], basis[j]
+        lcm = mono_lcm(ti, tj)
+        if lcm == mono_mul(ti, tj):
+            continue
+        if any(k not in (i, j) and mono_divides(tk, lcm)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, (tk, _) in enumerate(basis)):
+            continue
+        processed += 1
+        s = naive_sum((1, naive_product({mono_div(lcm, ti): 1}, fi)),
+                      (-1, naive_product({mono_div(lcm, tj): 1}, fj)))
+        s = reduce(s, basis)
+        if s:
+            basis.append(monic(s))
+            for i in range(len(basis) - 1):
+                queue(i, len(basis) - 1)
+
+    minimal = []
+    for lt, g in sorted(basis, key=lambda e: key(e[0])):
+        if not any(mono_divides(o, lt) for o, _ in minimal):
+            minimal.append((lt, g))
+    for i, (_, g) in enumerate(minimal):
+        minimal[i] = monic(reduce(g, minimal[:i] + minimal[i + 1:]))
+    return [g for _, g in minimal], processed, steps, len(minimal)

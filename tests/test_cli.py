@@ -529,6 +529,14 @@ SPEC_USAGE_ERRORS = [
     (["family", "--family", "lewis", "--Q", "V", "--r", "x"], "the lewis family does not take r"),
     (["verify", "--family", "lewis", "--Q", "V", "--s", "1"], "the lewis family does not take s"),
     (["build", "--r", "x", "--Q", "V", "--Q2", "W"], "--Q2 is taken by --family lewis only"),
+    (["build", "--family", "lewis", "--Q", "V", "--n", "7"], "the lewis family does not take n"),
+    (["family", "--family", "lewis", "--Q", "V", "--n", "1"], "the lewis family does not take n"),
+    (["verify", "--family", "lewis", "--Q", "V", "--n", "2", "--checks", "residual"],
+     "the lewis family does not take n"),
+    (["build", "--r", "x", "--Q", "V", "--n", "9"], "--n is taken by a named --family only"),
+    (["family", "--Q", "V", "--n", "1"], "--n is taken by a named --family only"),
+    (["verify", "--Q", "W", "--n", "2", "--checks", "residual"],
+     "--n is taken by a named --family only"),
     (["verify", "--family", "venereau", "--checks", "residual,residual"],
      "check 'residual' named twice in --checks"),
     (["verify", "--family", "venereau", "--checks", "jacobian, residual ,jacobian"],

@@ -21,10 +21,11 @@ from venlab.groebner import (
 from venlab.parse import parse_polynomial
 from venlab.poly import MonomialOrder, Polynomial, VarContext
 
-from helpers import (ideal_member_linear, mono_divides, mono_mul, naive_evaluate,
-                     random_polynomial)
+from helpers import (ideal_member_linear, mono_divides, mono_mul, naive_buchberger,
+                     naive_evaluate, random_polynomial)
 
 XY = VarContext(["x", "y"])
+XYZ = VarContext(["x", "y", "z"])
 
 
 def P(text, ctx=XY):
@@ -132,15 +133,23 @@ def test_packed_keys_follow_the_monomial_order(order):
                 assert (ka + kb < keys.pack(c)) == (order.key(ab) < order.key(c))
 
 
-@pytest.mark.parametrize("gens, cap, expected", [
-    (["-x*y^2 - 3*x^2", "5*x^2*y"], 5, None),
-    (["5*x^2*y - 2*x*y^2 - 5*x^2", "-3*x^2*y + 5*x - 1/2", "-4*x^2*y - 5*x*y^2 + x*y"], 3, None),
-    (["2*x^2*y - 4*y^3", "x^2*y + 4*x*y"], 3, "degree cap exceeded during reduction"),
-], ids=["basis", "unit-ideal", "cap-exceeded"])
-def test_s_polynomial_terms_above_the_cap_widen_the_keys(monkeypatch, gens, cap, expected):
-    # under lex an S-polynomial term may pass the degree cap (only lcms and
-    # reduction products are held to it); the keys widen, and the basis or
-    # the budget detail comes out as without packing
+#: Generators whose S-polynomials widen the keys with two pairs still
+#: queued under elim:1 at cap 4 (a tail term of degree 5).
+QUEUED_AT_WIDENING = ["3/4*y*z^2 - 5*y", "-2*x*z^2 + x^2 + x*z", "-3*x*y^2 + 3/4*x + 3"]
+
+
+@pytest.mark.parametrize("gens, order, cap, expected", [
+    (["-x*y^2 - 3*x^2", "5*x^2*y"], "lex", 5, None),
+    (["5*x^2*y - 2*x*y^2 - 5*x^2", "-3*x^2*y + 5*x - 1/2", "-4*x^2*y - 5*x*y^2 + x*y"],
+     "lex", 3, None),
+    (["2*x^2*y - 4*y^3", "x^2*y + 4*x*y"], "lex", 3, "degree cap exceeded during reduction"),
+    (QUEUED_AT_WIDENING, "elim:1", 4, None),
+], ids=["basis", "unit-ideal", "cap-exceeded", "pairs-queued"])
+def test_s_polynomial_terms_above_the_cap_widen_the_keys(monkeypatch, gens, order, cap, expected):
+    # under lex and elim an S-polynomial term may pass the degree cap (only
+    # lcms and reduction products are held to it); the keys widen, the
+    # lcms of the pairs still queued are packed again, and the basis, its
+    # stats or the budget detail come out as without packing
     bounds = []
 
     class Recording(groebner._Keys):
@@ -151,14 +160,37 @@ def test_s_polynomial_terms_above_the_cap_widen_the_keys(monkeypatch, gens, cap,
             super().__init__(order, arity, bound)
 
     monkeypatch.setattr(groebner, "_Keys", Recording)
-    gens = [P(g) for g in gens]
-    lex = MonomialOrder("lex")
+    gens = [P(g, XYZ) for g in gens]
+    order = MonomialOrder.parse(order)
     if expected is None:
-        assert buchberger(gens, lex, Budget(max_degree=cap)) == buchberger(gens, lex)
+        capped, free = buchberger(gens, order, Budget(max_degree=cap)), buchberger(gens, order)
+        assert capped == free
+        assert capped.stats == free.stats
     else:
         with pytest.raises(BudgetExceededError, match=expected):
-            buchberger(gens, lex, Budget(max_degree=cap))
+            buchberger(gens, order, Budget(max_degree=cap))
     assert bounds[:2] == [cap, 2 * cap]
+
+
+def test_bases_and_counts_agree_with_the_naive_oracle():
+    # 48 seeded ideals, 12 per order: of their 456 popped pairs, 131 have
+    # coprime leads, the chain criterion drops 172 and 153 are reduced;
+    # then the widening input at cap 4, whose counts are (15, 29, 5)
+    rng = random.Random(1988)
+    cases = []
+    for order in ("lex", "grevlex", "elim:1", "elim:2"):
+        for _ in range(12):
+            cases.append((order, Budget(), [random_polynomial(rng, XYZ, 3, max_terms=4,
+                                                              allow_zero=False)
+                                            for _ in range(rng.randint(2, 3))]))
+    cases.append(("elim:1", Budget(max_degree=4), [P(g, XYZ) for g in QUEUED_AT_WIDENING]))
+    for order, budget, gens in cases:
+        gb = buchberger(gens, MonomialOrder.parse(order), budget)
+        basis, pairs, reductions, size = naive_buchberger(gens, order)
+        assert [g.terms for g in gb.generators] == basis, (order, gens)
+        assert (gb.stats.pairs_processed, gb.stats.reductions, gb.stats.basis_size) == \
+            (pairs, reductions, size), (order, gens)
+    assert (pairs, reductions, size) == (15, 29, 5)
 
 
 # ---------------------------------------------------------------------------

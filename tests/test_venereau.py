@@ -92,7 +92,7 @@ def test_family_validation():
     ("venereau", "r", "x"), ("venereau", "s", 0), ("venereau", "Q", "V"),
     ("venereau", "Q2", "W"), ("bhatwadekar-dutta", "r", 1), ("bhatwadekar-dutta", "Q", "W"),
     ("daigle-freudenburg", "Q", "W"), ("daigle-freudenburg", "Q2", "W"),
-    ("lewis", "r", "x"), ("lewis", "s", "1"),
+    ("lewis", "r", "x"), ("lewis", "s", "1"), ("lewis", "n", 1),
 ])
 def test_family_rejects_a_parameter_it_does_not_take(name, option, value):
     given = {"Q": "V"} if name == "lewis" else {}
