@@ -28,7 +28,6 @@ from .derivation import (
     Derivation,
     InvalidSliceError,
     KernelMembershipError,
-    NotCertifiedError,
     exp_automorphism,
     dixmier_projection,
     parse_derivation,
@@ -41,7 +40,7 @@ from .groebner import (
     normal_form,
     subalgebra_member,
 )
-from .parse import ParseError, format_polynomial, parse_polynomial
+from .parse import ParseError, format_polynomial, parse_polynomial, reject_reserved_names
 from .poly import (
     ContextMismatchError,
     ExponentOverflowError,
@@ -67,15 +66,13 @@ class _Parser(argparse.ArgumentParser):
 def _context(args) -> VarContext:
     def names(text):
         return [n.strip() for n in text.split(",") if n.strip()]
-    return VarContext(names(args.vars), coeff_block=names(getattr(args, "coeff_vars", "")))
+    ctx = VarContext(names(args.vars), coeff_block=names(getattr(args, "coeff_vars", "")))
+    reject_reserved_names(ctx.names)
+    return ctx
 
 
 def _budget(args) -> Budget:
-    degree, basis = args.budget_degree, args.budget_basis
-    return Budget(
-        max_degree=DEFAULT_BUDGET.max_degree if degree is None else degree,
-        max_basis=DEFAULT_BUDGET.max_basis if basis is None else basis,
-    )
+    return Budget(max_degree=args.budget_degree, max_basis=args.budget_basis)
 
 
 def _split_polys(text: str, ctx: VarContext) -> list:
@@ -286,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def budget_options(p):
-        p.add_argument("--budget-degree", type=int, default=None)
-        p.add_argument("--budget-basis", type=int, default=None)
+        p.add_argument("--budget-degree", type=int, default=DEFAULT_BUDGET.max_degree)
+        p.add_argument("--budget-basis", type=int, default=DEFAULT_BUDGET.max_basis)
 
     def common(p, coeff=False, budget=True, order=True):
         p.add_argument("--vars", required=True, help="comma-separated variable names")
@@ -382,7 +379,7 @@ def main(argv=None) -> int:
     try:
         args.func(args, rep)
     except (ParseError, ContextMismatchError, InvalidSliceError,
-            KernelMembershipError, NotCertifiedError, ExponentOverflowError,
+            KernelMembershipError, ExponentOverflowError,
             ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its argument, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

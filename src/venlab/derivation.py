@@ -50,8 +50,8 @@ class InvalidSliceError(ValueError):
     """The proposed slice s does not satisfy D(s) = 1."""
 
 
-class NotCertifiedError(RuntimeError):
-    """An operation needed a nilpotency certificate that is not available."""
+class NotCertifiedError(BudgetExceededError):
+    """The nilpotency cap ran out before an operation's certificate was found."""
 
 
 class KernelMembershipError(ValueError):
@@ -254,15 +254,15 @@ def dixmier_projection(D: Derivation, s: Polynomial, f: Polynomial) -> Polynomia
     return _exp_series(-s, D.iterates(f, MAX_SERIES_TERMS))
 
 
-def parse_derivation(text: str, ctx: VarContext = None) -> Derivation:
+def parse_derivation(text: str) -> Derivation:
     """Read a derivation from its line format.
 
     One ``D(<var>) = <polynomial>`` line per fiber variable; an optional
     ``# constants: <v1> <v2> ...`` header declares the coefficient block.
-    When `ctx` is omitted it is built from the header plus the D-lines
-    (coefficient block first, then fiber variables in line order).
+    The context is the header's variables, then the D-lines' in line
+    order; a name with the reserved prefix raises ValueError.
     """
-    from .parse import parse_polynomial
+    from .parse import parse_polynomial, reject_reserved_names
 
     constants = []
     lines = []
@@ -282,9 +282,9 @@ def parse_derivation(text: str, ctx: VarContext = None) -> Derivation:
         if not var.endswith(")"):
             raise ValueError("bad derivation line: %r" % raw)
         lines.append((var[:-1].strip(), expr.strip()))
-    if ctx is None:
-        ctx = VarContext(tuple(constants) + tuple(v for v, _ in lines),
-                         coeff_block=tuple(constants))
+    ctx = VarContext(tuple(constants) + tuple(v for v, _ in lines),
+                     coeff_block=tuple(constants))
+    reject_reserved_names(ctx.names)
     images = {v: parse_polynomial(expr, ctx) for v, expr in lines}
     return Derivation(ctx, images)
 

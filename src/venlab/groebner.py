@@ -29,9 +29,10 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import itemgetter, mul
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .poly import (
+    GREVLEX,
     ContextMismatchError,
     MonomialOrder,
     Polynomial,
@@ -55,6 +56,8 @@ class Budget:
     S-pair lcm and of every product term formed during a reduction.  It
     does not bound the other terms of an S-polynomial: under lex and elim
     these can pass the cap, and the packed keys then widen to hold them.
+    `max_basis` bounds every element kept before interreduction, reduced
+    inputs and S-polynomial remainders alike.
     """
 
     max_degree: int = 40
@@ -147,10 +150,6 @@ class _Keys:
 
     def divides(self, a: int, b: int) -> bool:
         return not (b - a) & self.guard
-
-    def terms(self, terms: Mapping[tuple, int]) -> list:
-        """Packed (key, coeff) list of a monomial-keyed dict, descending."""
-        return sorted(zip(map(self.pack, terms), terms.values()), reverse=True)
 
     def rekey(self, terms, old: "_Keys") -> list:
         """(key, coeff) pairs packed by `old`, packed again by these keys."""
@@ -284,13 +283,14 @@ def _spoly(f: tuple, g: tuple, lcm: int, keys: _Keys) -> dict:
     return out
 
 
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
                budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`.
+    """Reduced Groebner basis of the ideal generated by `gens` under `order`.
 
-    Deterministic: S-pairs are processed by (lcm degree, index pair), and
-    the final interreduction yields the unique reduced basis for the
-    order.  Raises BudgetExceededError if any cap is hit.
+    Deterministic: the inputs, then the S-pairs by (lcm degree, index
+    pair), join the basis through one reduction step, and the final
+    interreduction yields the unique reduced basis for the order.  Raises
+    BudgetExceededError if any cap is hit.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -298,26 +298,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
     for g in gens:
         if g.ctx != ctx:
             raise ContextMismatchError("generators live in different contexts")
-    if order is None:
-        order = MonomialOrder("grevlex")
     stats = GroebnerStats()
     keys = _Keys(order, ctx.arity, max([budget.max_degree] + [g.degree() for g in gens]))
-
-    basis = []  # (lead_key, lead_coeff, tail)
-    for g in gens:
-        if g.is_zero():
-            continue
-        if g.degree() > budget.max_degree:
-            raise BudgetExceededError("input generator exceeds degree cap")
-        terms = _normalize(keys.terms(clear_denominators(g.terms)[0]))
-        terms = _normalize(_reduce(terms, basis, keys, budget, stats)[0])
-        if terms:
-            basis.append(_entry(terms))
 
     # The pair bookkeeping reads only the exponent fields of the keys (the
     # low arity fields, below the degree field).  There the lcm of two leads
     # is their fieldwise max, leads a and b are coprime when that max is
     # a + b, and a divides b when b - a borrows into no guard bit.
+    basis = []      # (lead_key, lead_coeff, tail)
     pairs = []      # heap of (lcm degree, i, j)
     queued = []     # queued[j]: {i: exponent fields of the lcm} for each queued pair (i, j)
 
@@ -329,7 +317,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
         return low, keys.guard & low, keys.mask.bit_length(), ones, ones.bit_length() - 1
 
     low, guard, width, ones, last = fields(keys)
-    raws = [b[0] & low for b in basis]      # exponent fields of each lead
+    raws = []       # exponent fields of each lead
 
     def queue(j):
         """Queue every pair (i, j) with i < j, its lcm taken once."""
@@ -344,8 +332,22 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
             heappush(pairs, (((r * ones) >> last) & mask, i, j))
         queued.append(lcms)
 
-    for j in range(len(basis)):
-        queue(j)
+    def add(terms):
+        """Reduce `terms` by the basis; a nonzero remainder joins it, its pairs queued."""
+        terms = _normalize(_reduce(terms, basis, keys, budget, stats)[0])
+        if not terms:
+            return
+        basis.append(_entry(terms))
+        raws.append(terms[0][0] & low)
+        if len(basis) > budget.max_basis:
+            raise BudgetExceededError("basis size cap exceeded")
+        queue(len(basis) - 1)
+
+    for g in gens:
+        if g.degree() > budget.max_degree:
+            raise BudgetExceededError("input generator exceeds degree cap")
+        work = clear_denominators(g.terms)[0]
+        add(zip(map(keys.pack, work), work.values()))
 
     while pairs:
         d, i, j = heappop(pairs)
@@ -382,14 +384,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = None,
             for lcms in queued:
                 for iq, rq in lcms.items():
                     lcms[iq] = keys.pack(old.unpack(rq)) & low
-        s = _normalize(_reduce(s.items(), basis, keys, budget, stats)[0])
-        if not s:
-            continue
-        basis.append(_entry(s))
-        raws.append(s[0][0] & low)
-        if len(basis) > budget.max_basis:
-            raise BudgetExceededError("basis size cap exceeded")
-        queue(len(basis) - 1)
+        add(s.items())
 
     basis = _interreduce(basis, keys, budget, stats)
     polys = tuple(Polynomial(ctx, {keys.unpack(k): Fraction(c, lc)
@@ -444,9 +439,9 @@ def normal_form(f: Polynomial, gb: GroebnerBasis,
 
 
 def ideal_member(f: Polynomial, gens: Sequence[Polynomial],
-                 order: MonomialOrder = None,
+                 order: MonomialOrder = GREVLEX,
                  budget: Budget = DEFAULT_BUDGET) -> bool:
-    """True iff f lies in the ideal generated by `gens`."""
+    """True iff f lies in the ideal generated by `gens`, decided under `order`."""
     gb = buchberger(gens, order, budget)
     return normal_form(f, gb, budget).is_zero()
 

@@ -210,6 +210,13 @@ class _Parser:
         return i, 1
 
 
+def reject_reserved_names(names) -> None:
+    """Reject user-given variable names with the reserved prefix, as the parser does."""
+    for name in names:
+        if name.startswith(RESERVED_PREFIX):
+            raise ValueError("identifier %r uses the reserved prefix %r" % (name, RESERVED_PREFIX))
+
+
 def parse_polynomial(text: str, ctx: VarContext) -> Polynomial:
     """Parse `text` into an exact Polynomial over `ctx`.
 

@@ -37,8 +37,8 @@ NEG_INFINITY = float("-inf")
 EXPONENT_LIMIT = 2**62
 
 #: Identifiers starting with this prefix are reserved for internally
-#: generated variables (shift variables, tags, inverted copies).  The
-#: expression parser rejects them in user input.
+#: generated variables (shift variables, tags, inverted copies).  User
+#: input may not name them: see `parse.reject_reserved_names`.
 RESERVED_PREFIX = "_"
 
 Scalar = Union[int, Fraction]
@@ -108,12 +108,9 @@ class VarContext:
             return "VarContext(%r, coeff_block=%r)" % (list(self.names), list(self.coeff_block))
         return "VarContext(%r)" % (list(self.names),)
 
-    def extend(self, extra: Sequence[str], coeff_block: Sequence[str] = None) -> "VarContext":
-        """Context with `extra` names appended; coefficient block kept unless given."""
-        return VarContext(
-            self.names + tuple(extra),
-            self.coeff_block if coeff_block is None else coeff_block,
-        )
+    def extend(self, extra: Sequence[str]) -> "VarContext":
+        """Context with `extra` names appended and the same coefficient block."""
+        return VarContext(self.names + tuple(extra), self.coeff_block)
 
 
 # ---------------------------------------------------------------------------

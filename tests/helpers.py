@@ -443,7 +443,7 @@ def naive_format(f: Polynomial, order: str = "grevlex") -> str:
 # keys, no fraction-free arithmetic, no `MonomialOrder`)
 
 def naive_buchberger(gens, order: str) -> tuple:
-    """(basis, pairs_processed, reductions, basis_size) of the ideal of `gens`.
+    """(basis, pairs_processed, reductions, basis_size, peak) of the ideal of `gens`.
 
     The rules: each input is reduced against the inputs kept before it;
     pairs are taken by (lcm degree, i, j); a pair whose leads are coprime
@@ -454,7 +454,9 @@ def naive_buchberger(gens, order: str) -> tuple:
     whose lead divides it.  Then the basis is minimalized (ascending by
     lead) and each element reduced by the others in that order.  `basis` is
     the monic reduced basis as term dicts, ascending by lead; `reductions`
-    counts the steps of all three stages.
+    counts the steps of all three stages; `peak` is the size of the
+    working basis before minimalizing, every input and S-polynomial
+    remainder kept.
     """
     key = functools.cmp_to_key(_order_cmp(order))
     steps = 0
@@ -513,10 +515,11 @@ def naive_buchberger(gens, order: str) -> tuple:
             for i in range(len(basis) - 1):
                 queue(i, len(basis) - 1)
 
+    peak = len(basis)
     minimal = []
     for lt, g in sorted(basis, key=lambda e: key(e[0])):
         if not any(mono_divides(o, lt) for o, _ in minimal):
             minimal.append((lt, g))
     for i, (_, g) in enumerate(minimal):
         minimal[i] = monic(reduce(g, minimal[:i] + minimal[i + 1:]))
-    return [g for _, g in minimal], processed, steps, len(minimal)
+    return [g for _, g in minimal], processed, steps, len(minimal), peak

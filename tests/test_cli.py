@@ -295,6 +295,16 @@ def test_member_ideal_pass_and_fail(capsys):
     assert rec["witnesses"]["normal_form"] == "1"
 
 
+def test_reduced_inputs_alone_can_exceed_the_basis_cap(capsys):
+    argv = ["--json", "groebner", "basis", "--vars", "x,y", "x^2 - y", "y^2 - x"]
+    assert run(capsys, *argv, "--budget-basis", "1") == (
+        2, '{"check": "groebner.basis", "schema": 1, "stats": {"detail": '
+           '"basis size cap exceeded"}, "verdict": "undetermined", "witnesses": {}}\n', "")
+    code, out, _ = run(capsys, *argv, "--budget-basis", "2")
+    assert code == 0
+    assert json_lines(out)[0]["witnesses"] == {"size": 2}
+
+
 def test_member_subalgebra_with_inversion(capsys):
     code, out, _ = run(capsys, "--json", "member", "subalgebra",
                        "--vars", "x,z", "--coeff-vars", "x",
@@ -395,6 +405,48 @@ def test_lnd_nilpotent_undetermined_exit_2(capsys, tmp_path):
     assert code == 2
     (rec,) = json_lines(out)
     assert rec["verdict"] == "undetermined"
+
+
+@pytest.fixture
+def d66file(tmp_path):
+    """D(y) = x^64, which dies after 66 applications: two more than the default cap."""
+    path = tmp_path / "D66.txt"
+    path.write_text("D(x) = 1\nD(y) = x^64\n")
+    return str(path)
+
+
+def test_lnd_nilpotency_cap(capsys, d66file):
+    argv = ["--json", "lnd", "nilpotent", "--derivation", d66file]
+    code, out, _ = run(capsys, *argv)
+    assert (code, json_lines(out)[0]["witnesses"]["status"]) == (2, "undetermined")
+    code, out, _ = run(capsys, *argv, "--cap", "70")
+    assert code == 0
+    assert json_lines(out)[0]["witnesses"]["indices"] == {"x": 2, "y": 66}
+
+
+@pytest.mark.parametrize("extra", [["exp", "--t", "1"],
+                                   ["dixmier", "--slice", "x", "--f", "y"],
+                                   ["kernel", "--slice", "x"]],
+                         ids=["exp", "dixmier", "kernel"])
+def test_lnd_nilpotency_cap_running_out_is_a_budget(capsys, d66file, extra):
+    argv = ["--json", "lnd", extra[0], "--derivation", d66file, *extra[1:]]
+    assert run(capsys, *argv) == (2, "", "venlab: resource budget exceeded: derivation "
+                                         "is not certified locally nilpotent (cap 64)\n")
+
+
+@pytest.mark.parametrize("argv, derivation, name", [
+    (["lnd", "exp", "--t", "1"], "D(y) = 1\nD(_e_y) = 1\n", "_e_y"),
+    (["lnd", "kernel", "--slice", "x"], "# constants: _t0\nD(x) = 1\n", "_t0"),
+    (["member", "subalgebra", "--vars", "_t0,x", "--f", "x", "--gens", "x^2"], None, "_t0"),
+    (["poly", "print", "--vars", "_a,x", "x"], None, "_a"),
+], ids=["derivation-variable", "derivation-constant", "vars-tag", "vars-print"])
+def test_reserved_names_are_usage_errors(capsys, tmp_path, argv, derivation, name):
+    if derivation is not None:
+        path = tmp_path / "D.txt"
+        path.write_text(derivation)
+        argv = argv[:2] + ["--derivation", str(path)] + argv[2:]
+    assert run(capsys, "--json", *argv) == (
+        3, "", "venlab: error: identifier %r uses the reserved prefix '_'\n" % name)
 
 
 def test_lnd_dixmier(capsys, dfile):

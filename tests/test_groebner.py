@@ -1,6 +1,7 @@
 """Groebner engine: bases, normal forms, membership, budgets, oracle."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -186,11 +187,36 @@ def test_bases_and_counts_agree_with_the_naive_oracle():
     cases.append(("elim:1", Budget(max_degree=4), [P(g, XYZ) for g in QUEUED_AT_WIDENING]))
     for order, budget, gens in cases:
         gb = buchberger(gens, MonomialOrder.parse(order), budget)
-        basis, pairs, reductions, size = naive_buchberger(gens, order)
+        basis, pairs, reductions, size, _ = naive_buchberger(gens, order)
         assert [g.terms for g in gb.generators] == basis, (order, gens)
         assert (gb.stats.pairs_processed, gb.stats.reductions, gb.stats.basis_size) == \
             (pairs, reductions, size), (order, gens)
     assert (pairs, reductions, size) == (15, 29, 5)
+
+
+def test_basis_cap_bounds_every_element_kept():
+    # the seeded ideals of the oracle test: a cap below the oracle's peak
+    # working basis (inputs and S-polynomial remainders kept) runs out, and
+    # the peak itself suffices
+    rng = random.Random(1988)
+    cases = []
+    for order in ("lex", "grevlex", "elim:1", "elim:2"):
+        for _ in range(12):
+            cases.append((order, Budget(), [random_polynomial(rng, XYZ, 3, max_terms=4,
+                                                              allow_zero=False)
+                                            for _ in range(rng.randint(2, 3))]))
+    cases.append(("elim:1", Budget(max_degree=4), [P(g, XYZ) for g in QUEUED_AT_WIDENING]))
+    capped = 0
+    for order, budget, gens in cases:
+        mono_order = MonomialOrder.parse(order)
+        peak = naive_buchberger(gens, order)[4]
+        for m in range(1, peak):
+            with pytest.raises(BudgetExceededError, match="^basis size cap exceeded$"):
+                buchberger(gens, mono_order, replace(budget, max_basis=m))
+            capped += 1
+        gb = buchberger(gens, mono_order, replace(budget, max_basis=peak))
+        assert gb.generators == buchberger(gens, mono_order, budget).generators, (order, gens)
+    assert capped == 149
 
 
 # ---------------------------------------------------------------------------
