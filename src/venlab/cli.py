@@ -371,6 +371,19 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    # Integers are exact at any size, so CPython's cap on converting long
+    # ones to and from decimal strings (3.10.7 on) is lifted for the call.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+
+
+def _run(argv) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

@@ -108,11 +108,12 @@ class GroebnerBasis:
 # packed monomial keys (after Monagan & Pearce, CASC 2007)
 #
 # Inside the engine a monomial is one int with a bit field per linear form
-# of the monomial order, most significant first, then a total-degree field
-# and the raw exponents.  Every field is a nonnegative sum of exponents, so
-# integer order of keys is the monomial order, adding two keys multiplies
-# the monomials, and a divides b exactly when b - a borrows into no guard
-# bit (the lowest field that goes negative sets its own guard bit).
+# of the monomial order (`MonomialOrder.forms`), most significant first,
+# then a total-degree field and the raw exponents.  Every field is a
+# nonnegative sum of exponents, so integer order of keys is the monomial
+# order, adding two keys multiplies the monomials, and a divides b exactly
+# when b - a borrows into no guard bit (the lowest field that goes negative
+# sets its own guard bit).
 
 class _Keys:
     """Packed keys for one order and arity, for monomials of degree <= bound.
@@ -128,7 +129,7 @@ class _Keys:
         width = (2 * bound).bit_length()
         step = width + 1
         forms = [{i} for i in range(arity)] + [set(range(arity))]
-        forms += reversed(_order_forms(order, arity))
+        forms += reversed(order.forms(arity))
         self.bound = bound
         self.units = [sum(1 << (f * step) for f, form in enumerate(forms) if i in form)
                       for i in range(arity)]
@@ -161,27 +162,6 @@ def _rekeyed(entries: list, old: _Keys, order: MonomialOrder, bound: int) -> tup
     keys = _Keys(order, len(old.shifts), bound)
     return keys, [(keys.pack(old.unpack(lt)), lc, keys.rekey(tail, old))
                   for lt, lc, tail in entries]
-
-
-def _order_forms(order: MonomialOrder, arity: int) -> list:
-    """Variable sets whose exponent sums, compared in turn, decide `order`.
-
-    grevlex compares deg, then -e_n, ..., -e_2 (e_1 follows from the rest),
-    which for equal degrees is deg - e_n, ..., deg - e_2; elim does so per
-    block; lex compares the exponents.
-    """
-    if order.kind == "lex":
-        return [{i} for i in range(arity)]
-    if order.kind == "grevlex":
-        blocks = [range(arity)]
-    else:
-        k = min(order.block_split, arity)
-        blocks = [range(k), range(k, arity)]
-    forms = []
-    for block in blocks:
-        forms.append(set(block))
-        forms += [set(block) - {i} for i in reversed(block[1:])]
-    return forms
 
 
 # ---------------------------------------------------------------------------

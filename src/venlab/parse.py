@@ -3,17 +3,27 @@
 Grammar (whitespace insignificant)::
 
     expr   := ['-'] term (('+'|'-') term)*
-    term   := (coeff | factor) ('*'? (coeff | factor))*
-    factor := ident ('^' nat)? | '(' expr ')'
-    coeff  := int ('/' nat)?
+    term   := (flat | '(' expr ')') ('*'? (flat | '(' expr ')'))*
+    flat   := factor ('*'? factor)*
+    factor := int ('/' nat)? | ident ('^' nat)?
 
-Parenthesized subexpressions are accepted as factors so that nested
-inputs like ``y + x^2*(x*z + y*(y*u + z^2))`` parse directly.
+The grammar is ASCII: digits, identifiers and whitespace are ASCII ones,
+and any other character is an error.  A flat product is one token, read
+factor by factor by one regular-expression scan into an integer
+numerator, denominator and exponent list; the recursive descent sees only
+flat products, signs and parentheses.  Parenthesized subexpressions are
+accepted as factors so that nested inputs like
+``y + x^2*(x*z + y*(y*u + z^2))`` parse directly.
 
 Identifiers starting with the reserved prefix ``_`` are rejected: that
 namespace belongs to internally generated variables (shift variables,
 membership tags, inverted copies).  So are exponents above
 ``EXPONENT_LIMIT`` and parentheses nested deeper than ``MAX_NESTING``.
+
+The printer sorts terms by one packed integer key each
+(`Polynomial.sorted_terms`).  The CLI lifts CPython's limit on converting
+integers of more than 4300 digits for each call; library callers keep the
+interpreter's limit.
 """
 
 from __future__ import annotations
@@ -49,33 +59,31 @@ class ParseError(ValueError):
         self.column = column
 
 
-#: One token with the whitespace before it; `bad` takes any other
-#: character, or the empty string at the end of the text.
-_TOKEN = re.compile(r"""\s*(?:
-    (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>[-+*/^()])
-  | (?P<bad>.?)
-)""", re.VERBOSE | re.DOTALL)
+#: One factor of a flat product: a coefficient ``n`` or ``n/d``, or a
+#: power ``name^e``; the groups are (n, d, name, e).
+_FACTOR = r"(\d+)(?:\s*/\s*(\d+))?|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(\d+))?"
+_FACTORS = re.compile(_FACTOR, re.ASCII)
+
+#: One token: a flat product (factors joined by `*` or juxtaposition) or an
+#: operator.  Between tokens there is only ASCII whitespace once `_BAD`
+#: finds nothing, so that no other digit or space is read as one.
+_TOKEN = re.compile(r"(?P<flat>(?:%s)(?:\s*(?:\*\s*)?(?:%s))*)|(?P<op>[-+*/^()])"
+                    % (_FACTOR, _FACTOR), re.ASCII)
+_BAD = re.compile(r"[^\sA-Za-z0-9_+\-*/^()]", re.ASCII)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while True:
-        m = _TOKEN.match(text, pos)
-        kind = m.lastgroup
-        pos = m.start(kind)
-        if kind == "bad":
-            if pos == len(text):
-                break
-            line = text.count("\n", 0, pos) + 1
-            col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-            raise ParseError("unexpected character %r" % text[pos], line, col)
-        tokens.append((kind, m.group(kind), pos))
-        pos = m.end()
+def _tokenize(text: str) -> list:
+    """(kind, text, position) of each token, then ("eof", "", len(text))."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError("unexpected character %r" % bad.group(), *_line_column(text, bad.start()))
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _line_column(text: str, pos: int) -> tuple:
+    return text.count("\n", 0, pos) + 1, pos - (text.rfind("\n", 0, pos) + 1) + 1
 
 
 class _Parser:
@@ -86,77 +94,97 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def error(self, message: str):
-        pos = self.tokens[self.i][2]
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        raise ParseError(message, line, col)
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def error(self, message: str, pos: int = None):
+        """Raise ParseError at `pos`, by default at the next token."""
+        if pos is None:
+            pos = self.tokens[self.i][2]
+        raise ParseError(message, *_line_column(self.text, pos))
 
     # expr := ['-'] term (('+'|'-') term)*
     def expr(self) -> Polynomial:
         terms = {}
+        tokens = self.tokens
         sign = 1
-        if self.peek()[:2] == ("op", "-"):
-            self.next()
+        if tokens[self.i][1] == "-":
+            self.i += 1
             sign = -1
         self.term(terms, sign)
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            self.term(terms, -1 if self.next()[1] == "-" else 1)
+        while tokens[self.i][1] in ("+", "-"):
+            self.i += 1
+            self.term(terms, -1 if tokens[self.i - 1][1] == "-" else 1)
         return Polynomial._trusted(self.ctx, {m: c for m, c in terms.items() if c})
 
-    # term := (coeff | factor) ('*'? (coeff | factor))*
+    # term := (flat | '(' expr ')') ('*'? (flat | '(' expr ')'))*
     def term(self, out: dict, sign: int) -> None:
         """Add sign * (the next term) into the monomial-keyed dict `out`.
 
-        The term is num/den * x^exps * groups: coefficients multiply as
-        ints and powers of variables add up, the term makes one `Fraction`,
-        and only parenthesised groups are multiplied as polynomials, once
-        every factor is read.  `top` holds the term's top exponents while it
-        is nonzero; going above EXPONENT_LIMIT raises the error that `*`
-        raises, and a zero factor ends the checks, as it does there.
+        The term is num/den * x^exps * groups.  One `finditer` reads each
+        flat product factor by factor, with the checks in the order they
+        would run on separate factors: coefficients multiply as ints and
+        powers of variables add up, the term makes one `Fraction`, and only
+        parenthesised groups are multiplied as polynomials, once every
+        factor is read.  `base` sums the top exponents of the groups; while
+        the term is nonzero, going above EXPONENT_LIMIT in exps + base
+        raises the error that `*` raises, and a zero factor ends the
+        checks, as it does there.
         """
+        tokens = self.tokens
+        index = self.ctx._index
         num, den = sign, 1
-        arity = self.ctx.arity
-        exps = [0] * arity
-        top = [0] * arity
+        exps = [0] * len(index)
+        base = [0] * len(index)
         groups = []
         while True:
-            kind, val, _ = self.peek()
-            if kind == "int":
-                n, d = self.coeff()
-                num *= n
-                den *= d
-            elif kind == "ident":
-                i, e = self.factor()
-                exps[i] += e
-                top[i] += e
-            elif kind == "op" and val == "(":
+            kind, val, start = tokens[self.i]
+            if kind == "flat":
+                self.i += 1
+                for m in _FACTORS.finditer(val):
+                    n, d, name, e = m.groups()
+                    if name is None:
+                        num *= int(n)
+                        if d is not None:
+                            if not int(d):  # reported at the token after it
+                                after = _TOKEN.search(self.text, start + m.end())
+                                self.error("zero denominator",
+                                           after.start() if after else len(self.text))
+                            den *= int(d)
+                        continue
+                    if name.startswith(RESERVED_PREFIX):
+                        self.error("identifier %r uses the reserved prefix %r"
+                                   % (name, RESERVED_PREFIX), start + m.start())
+                    i = index.get(name)
+                    if i is None:
+                        self.error("unknown variable %r" % name, start + m.start())
+                    power = 1 if e is None else int(e)
+                    if power > EXPONENT_LIMIT:
+                        self.error("exponent exceeds %d" % EXPONENT_LIMIT, start + m.start(4))
+                    exps[i] += power
+                    if num and exps[i] + base[i] > EXPONENT_LIMIT:
+                        if m.end() == len(val):
+                            self.dangling(name, d, e)  # x^ comes before the overflow
+                        _fields(list(map(add, exps, base)))  # raises the overflow error of `*`
+                if tokens[self.i][1] in ("/", "^"):
+                    self.dangling(name, d, e)
+            elif val == "(":
                 g = self.group()
                 if num and g.terms:
-                    top = list(map(add, top, _max_exponents(g.terms)))
+                    base = list(map(add, base, _max_exponents(g.terms)))
                     groups.append(g)
+                    top = list(map(add, exps, base))
+                    if max(top, default=0) > EXPONENT_LIMIT:
+                        _fields(top)  # raises the overflow error of `*`
                 else:
                     num = 0
             else:
                 self.error("expected a coefficient, variable or '('")
-            if num and max(top, default=0) > EXPONENT_LIMIT:
-                _fields(top)  # raises the overflow error of `*`
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-            elif not (kind in ("int", "ident") or (kind == "op" and val == "(")):
+            kind, val, _ = tokens[self.i]
+            if val == "*":
+                self.i += 1
+            elif kind != "flat" and val != "(":
                 break
         if not num:
             return
-        coeff = Fraction(num, den)
+        coeff = Fraction(num) if den == 1 else Fraction(num, den)
         if not groups:
             m = tuple(exps)
             out[m] = out[m] + coeff if m in out else coeff
@@ -165,49 +193,29 @@ class _Parser:
             m = tuple(map(add, m, exps))
             out[m] = out[m] + coeff * c if m in out else coeff * c
 
+    def dangling(self, name, d, e) -> None:
+        """Raise on a '/' or '^' after a flat product that its last factor would take.
+
+        That is a '/' after a coefficient without a denominator, or a '^'
+        after a variable without an exponent: the error is then at the
+        token after the operator.  Any other '/' or '^' ends the term.
+        """
+        if self.tokens[self.i][1] == ("/" if name is None else "^") and (
+                d if name is None else e) is None:
+            self.i += 1
+            self.error("expected a denominator" if name is None else "expected an exponent")
+
     def group(self) -> Polynomial:
         if self.depth == MAX_NESTING:
             self.error("parentheses nested deeper than %d" % MAX_NESTING)
-        self.next()
+        self.i += 1
         self.depth += 1
         inner = self.expr()
-        if self.peek()[:2] != ("op", ")"):
+        if self.tokens[self.i][1] != ")":
             self.error("expected ')'")
-        self.next()
+        self.i += 1
         self.depth -= 1
         return inner
-
-    def coeff(self) -> tuple:
-        """(numerator, denominator) of a coefficient, as ints."""
-        num = int(self.next()[1])
-        if self.peek()[:2] == ("op", "/"):
-            self.next()
-            if self.peek()[0] != "int":
-                self.error("expected a denominator")
-            den = int(self.next()[1])
-            if den == 0:
-                self.error("zero denominator")
-            return num, den
-        return num, 1
-
-    def factor(self) -> tuple:
-        """(index, exponent) of a power of a variable."""
-        name = self.next()[1]
-        if name.startswith(RESERVED_PREFIX):
-            self.i -= 1
-            self.error("identifier %r uses the reserved prefix %r" % (name, RESERVED_PREFIX))
-        if name not in self.ctx:
-            self.i -= 1
-            self.error("unknown variable %r" % name)
-        i = self.ctx.index(name)
-        if self.peek()[:2] == ("op", "^"):
-            self.next()
-            if self.peek()[0] != "int":
-                self.error("expected an exponent")
-            if int(self.peek()[1]) > EXPONENT_LIMIT:
-                self.error("exponent exceeds %d" % EXPONENT_LIMIT)
-            return i, int(self.next()[1])
-        return i, 1
 
 
 def reject_reserved_names(names) -> None:
@@ -225,31 +233,39 @@ def parse_polynomial(text: str, ctx: VarContext) -> Polynomial:
     """
     parser = _Parser(text, ctx)
     result = parser.expr()
-    if parser.peek()[0] != "eof":
+    if parser.tokens[parser.i][0] != "eof":
         parser.error("unexpected trailing input")
     return result
 
 
 def format_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
-    """Canonical string: terms descending in `order`, exact coefficients."""
+    """Canonical string: terms descending in `order`, exact coefficients.
+
+    Each factor ``name^e`` is formatted once per call and kept in a table
+    keyed by (name, e).
+    """
     if f.is_zero():
         return "0"
+    names = f.ctx.names
+    powers = {}
     parts = []
     for mono, coeff in f.sorted_terms(order):
         factors = []
-        for name, e in zip(f.ctx.names, mono):
+        for name, e in zip(names, mono):
             if e == 1:
                 factors.append(name)
-            elif e > 1:
-                factors.append("%s^%d" % (name, e))
+            elif e:
+                text = powers.get((name, e))
+                if text is None:
+                    text = powers[name, e] = "%s^%d" % (name, e)
+                factors.append(text)
+        body = "*".join(factors)
         n, d = coeff.numerator, coeff.denominator
         mag = -n if n < 0 else n
-        if factors and mag == 1 and d == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join(["%d/%d" % (mag, d) if d != 1 else "%d" % mag] + factors)
-        if not parts:
-            parts.append("-" + body if n < 0 else body)
-        else:
-            parts.append(("- " if n < 0 else "+ ") + body)
-    return " ".join(parts)
+        if d != 1:
+            body = "%d/%d*%s" % (mag, d, body) if body else "%d/%d" % (mag, d)
+        elif mag != 1 or not body:
+            body = "%d*%s" % (mag, body) if body else "%d" % mag
+        parts.append(("- " if n < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

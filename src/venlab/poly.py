@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
-from operator import add, lshift, neg
+from operator import add, lshift, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 #: Degree of the zero polynomial.
@@ -181,6 +181,10 @@ def _unpack(acc: dict, fields: list, den: int) -> dict:
 # ---------------------------------------------------------------------------
 # monomial orders
 
+#: (kind, block_split, arity, width) -> MonomialOrder.units, filled on first use.
+_SORT_UNITS = {}
+
+
 class MonomialOrder:
     """Total order on monomials, compatible with multiplication, 1 minimal.
 
@@ -191,6 +195,11 @@ class MonomialOrder:
         ``block_split`` variables, ties broken by grevlex on the rest.
         Monomials containing an eliminated (first-block) variable compare
         above all monomials free of them.
+
+    The order is given once, by `forms`: linear forms whose values,
+    compared in turn, decide it.  Terms are sorted by one packed int per
+    monomial built from them (`units`), and the Buchberger engine's keys
+    in `groebner` build on the same forms.
     """
 
     __slots__ = ("kind", "block_split")
@@ -203,18 +212,43 @@ class MonomialOrder:
         self.kind = kind
         self.block_split = block_split
 
-    def key(self, mono: tuple):
-        """Sort key: bigger key = bigger monomial."""
+    def forms(self, arity: int) -> list:
+        """Variable sets whose exponent sums, compared in turn, decide the order.
+
+        grevlex compares deg, then -e_n, ..., -e_2 (e_1 follows from the
+        rest), which for equal degrees is deg - e_n, ..., deg - e_2; elim
+        does so per block; lex compares the exponents.
+        """
         if self.kind == "lex":
-            return mono
+            return [{i} for i in range(arity)]
         if self.kind == "grevlex":
-            return (sum(mono), tuple(map(neg, mono[::-1])))
-        k = self.block_split
-        head, tail = mono[:k], mono[k:]
-        return (
-            sum(head), tuple(map(neg, head[::-1])),
-            sum(tail), tuple(map(neg, tail[::-1])),
-        )
+            blocks = [range(arity)]
+        else:
+            k = min(self.block_split, arity)
+            blocks = [range(k), range(k, arity)]
+        forms = []
+        for block in blocks:
+            forms.append(set(block))
+            forms += [set(block) - {i} for i in reversed(block[1:])]
+        return forms
+
+    def units(self, arity: int, width: int) -> tuple:
+        """Per-variable multipliers of the packed sort key.
+
+        The key of a monomial is sum(e_i * units[i]): one `width`-bit field
+        per form, the first form most significant.  When no form's value
+        needs more than `width` bits, as when width is the bit length of
+        the largest total degree, integer order of keys is this order.
+        """
+        cache_key = (self.kind, self.block_split, arity, width)
+        units = _SORT_UNITS.get(cache_key)
+        if units is None:
+            forms = self.forms(arity)
+            top = len(forms) - 1
+            units = _SORT_UNITS[cache_key] = tuple(
+                sum([1 << (width * (top - f)) for f, form in enumerate(forms) if i in form])
+                for i in range(arity))
+        return units
 
     def __eq__(self, other) -> bool:
         return (
@@ -339,15 +373,21 @@ class Polynomial:
         """(monomial, coefficient) of the maximal term under `order`."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
-        mono = max(self.terms, key=order.key)
-        return mono, self.terms[mono]
+        return max(self.terms.items(), key=self._sort_key(order))
 
     def coefficient(self, mono: tuple) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list:
         """Terms as (monomial, coefficient), descending in `order`."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=order.key, reverse=True)]
+        if len(self.terms) < 2:
+            return list(self.terms.items())
+        return sorted(self.terms.items(), key=self._sort_key(order), reverse=True)
+
+    def _sort_key(self, order: MonomialOrder):
+        """Packed key of a (monomial, coefficient) pair of this polynomial under `order`."""
+        units = order.units(self.ctx.arity, max(map(sum, self.terms)).bit_length())
+        return lambda term: sum(map(mul, term[0], units))
 
     # -- arithmetic ---------------------------------------------------
 

@@ -154,6 +154,38 @@ def test_key_error_prints_its_message(argv, line):
     assert proc.stderr == line + "\n"
 
 
+def _digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_poly_eval_with_a_value_of_thousands_of_digits(capsys):
+    limit = _digit_limit()
+    code, out, err = run(capsys, "--json", "poly", "eval", "--vars", "x", "--at", "x=2/3",
+                         "x^20000")
+    assert (code, err) == (0, "")
+    num, den = json_lines(out)[0]["witnesses"]["value"].split("/")
+    # 2^20000 and 3^20000 have 6021 and 9543 digits; their last nine agree
+    assert (len(num), len(den)) == (6021, 9543)
+    assert (int(num[-9:]), int(den[-9:])) == (pow(2, 20000, 10**9), pow(3, 20000, 10**9))
+    assert _digit_limit() == limit
+
+
+def test_poly_print_a_coefficient_of_thousands_of_digits(capsys):
+    limit = _digit_limit()
+    text = "9" * 4400 + "*x"
+    code, out, err = run(capsys, "poly", "print", "--vars", "x", text)
+    assert (code, out, err) == (0, "poly.print: pass  %s\n" % text, "")
+    assert _digit_limit() == limit
+
+
+def test_venereau_verify_with_a_coefficient_of_thousands_of_digits(capsys):
+    # 3^9000 has 4295 digits, so r parses anywhere; its report needs more
+    code, out, err = run(capsys, "--json", "venereau", "verify", "--r", "%d*x" % 3**9000,
+                         "--s", "1", "--Q", "V + W")
+    assert (code, err) == (0, "")
+    assert [rec["verdict"] for rec in json_lines(out)] == ["pass"] * 4
+
+
 def test_poly_eval_repeated_coordinate_is_usage_error(capsys):
     code, out, err = run(capsys, "--json", "poly", "eval",
                          "--vars", "x,y", "--at", "x=1,y=2, x=2", "x y")

@@ -22,8 +22,8 @@ from venlab.groebner import (
 from venlab.parse import parse_polynomial
 from venlab.poly import MonomialOrder, Polynomial, VarContext
 
-from helpers import (ideal_member_linear, mono_divides, mono_mul, naive_buchberger,
-                     naive_evaluate, random_polynomial)
+from helpers import (_order_cmp, ideal_member_linear, mono_divides, mono_mul,
+                     naive_buchberger, naive_evaluate, random_polynomial)
 
 XY = VarContext(["x", "y"])
 XYZ = VarContext(["x", "y", "z"])
@@ -102,18 +102,25 @@ def test_reduced_basis_properties():
 # ---------------------------------------------------------------------------
 # packed monomial keys
 
-@pytest.mark.parametrize("order", ["lex", "grevlex", "elim:1", "elim:3"])
-def test_packed_keys_follow_the_monomial_order(order):
-    # keys must compare like MonomialOrder.key, test divisibility like
-    # mono_divides, and multiply by addition without carrying between
-    # fields, also for products of two monomials at the degree bound
+@pytest.mark.parametrize("order", ["lex", "grevlex", "elim:1", "elim:2", "elim:3", "elim:5"])
+@pytest.mark.parametrize("bound", [6, 2**42])
+def test_packed_keys_follow_the_monomial_order(order, bound):
+    # keys must compare like the independent order comparison, test
+    # divisibility like mono_divides, and multiply by addition without
+    # carrying between fields, also for products of two monomials at the
+    # degree bound; elim:5 eliminates every variable, and the wide bound
+    # takes exponents from 2^40 to 2^42
+    cmp = _order_cmp(order)
     order = MonomialOrder.parse(order)
     rng = random.Random(17)
-    arity, bound = 4, 6
+    arity = 4
     keys = groebner._Keys(order, arity, bound)
     monos = [tuple(bound if i == j else 0 for i in range(arity)) for j in range(arity)]
     monos += [(0,) * arity, (1,) * arity]
     while len(monos) < 40:
+        if bound > 6:
+            monos.append(tuple(rng.choice((0, 0, 1, 2, 5, 2**40)) for _ in range(arity)))
+            continue
         mono = [0] * arity
         for _ in range(rng.choice([rng.randint(0, bound), bound])):
             mono[rng.randrange(arity)] += 1
@@ -124,14 +131,14 @@ def test_packed_keys_follow_the_monomial_order(order):
         assert keys.degree(ka) == sum(a)
         for b in monos:
             kb = keys.pack(b)
-            assert (ka < kb) == (order.key(a) < order.key(b))
+            assert (ka < kb) == (cmp(a, b) < 0)
             assert keys.divides(ka, kb) == mono_divides(a, b)
             ab = mono_mul(a, b)
             assert ka + kb == keys.pack(ab)
             assert keys.unpack(ka + kb) == ab
             assert keys.degree(ka + kb) == sum(ab)
             for c in monos[:12]:
-                assert (ka + kb < keys.pack(c)) == (order.key(ab) < order.key(c))
+                assert (ka + kb < keys.pack(c)) == (cmp(ab, c) < 0)
 
 
 #: Generators whose S-polynomials widen the keys with two pairs still

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 import pytest
@@ -21,7 +22,7 @@ from venlab.poly import (
 )
 from venlab.parse import ParseError, format_polynomial, parse_polynomial
 
-from helpers import naive_evaluate, naive_format, naive_product, naive_substitute
+from helpers import _order_cmp, naive_evaluate, naive_format, naive_product, naive_substitute
 
 CTX = VarContext(["x", "y", "z"])
 X, Y, Z = (Polynomial.variable(CTX, n) for n in "xyz")
@@ -201,34 +202,36 @@ def test_polymap_is_homomorphism(f, g):
     assert m(f + g) == m(f) + m(g)
 
 
-@settings(max_examples=120, deadline=None)
-@given(polys)
-def test_print_parse_round_trip(f):
-    assert parse_polynomial(format_polynomial(f), CTX) == f
-
-
 ORDERS = ("lex", "grevlex", "elim:1", "elim:2", "elim:3")
 
 
-def _key_by_generators(order, mono):
-    """MonomialOrder.key as written with generator expressions."""
-    if order.kind == "lex":
-        return mono
-    if order.kind == "grevlex":
-        return (sum(mono), tuple(-e for e in reversed(mono)))
-    k = order.block_split
-    head, tail = mono[:k], mono[k:]
-    return (sum(head), tuple(-e for e in reversed(head)),
-            sum(tail), tuple(-e for e in reversed(tail)))
-
-
 @pytest.mark.parametrize("text", ORDERS)
-def test_order_key_matches_its_generator_form(text):
+@settings(max_examples=40, deadline=None)
+@given(f=polys)
+def test_print_parse_round_trip(text, f):
+    assert parse_polynomial(format_polynomial(f, MonomialOrder.parse(text)), CTX) == f
+
+
+@pytest.mark.parametrize("text", ORDERS + ("elim:7",))
+def test_packed_sort_keys_follow_the_order_oracle(text):
+    """The packed key of `MonomialOrder.units` compares like the independent
+    comparison of helpers, and sorted_terms and leading_term follow it, at
+    arities 4-6 (so elim:7 eliminates every variable) and exponents to 2^40."""
     rng = random.Random(text)
     order = MonomialOrder.parse(text)
-    for _ in range(300):
-        mono = tuple(rng.choice((0, 0, 1, 2, 5, 2**40)) for _ in range(rng.randint(4, 6)))
-        assert order.key(mono) == _key_by_generators(order, mono)
+    cmp = _order_cmp(text)
+    for arity in (4, 5, 6):
+        monos = list({tuple(rng.choice((0, 0, 1, 2, 5, 2**40)) for _ in range(arity))
+                      for _ in range(50)})
+        units = order.units(arity, max(map(sum, monos)).bit_length())
+        key = {m: sum(e * u for e, u in zip(m, units)) for m in monos}
+        for a in monos:
+            for b in monos:
+                assert (key[a] > key[b]) - (key[a] < key[b]) == cmp(a, b), (a, b)
+        f = Polynomial(VarContext(["v%d" % i for i in range(arity)]), dict.fromkeys(monos, 1))
+        want = sorted(monos, key=cmp_to_key(cmp), reverse=True)
+        assert [m for m, _ in f.sorted_terms(order)] == want
+        assert f.leading_term(order) == (want[0], 1)
 
 
 #: Coefficients with a unit, a negative sign, a denominator, or many digits.
@@ -349,6 +352,8 @@ MALFORMED = [
     ("x\t@", "unexpected character '@'", 1, 3),
     ("x -\n", "expected a coefficient, variable or '('", 2, 1),
     ("3 x^2 y (z + 1/0)", "zero denominator", 1, 17),
+    ("\u0663*x", "unexpected character '\u0663'", 1, 1),
+    ("x\xa0+ 1", "unexpected character '\\xa0'", 1, 2),
 ]
 
 
