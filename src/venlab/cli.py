@@ -6,7 +6,7 @@ Subcommands::
     groebner basis
     member   {ideal,subalgebra}
     lnd      {apply,nilpotent,exp,dixmier,kernel}
-    venereau {build,verify,family}
+    venereau {build,verify}
 
 Reports are emitted as JSON lines on stdout when ``--json`` is given
 (one object per check: schema, check, verdict, witnesses, stats), or as
@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from . import venereau as vn
 from .derivation import (
-    DEFAULT_NILPOTENCY_CAP,
     Derivation,
     InvalidSliceError,
     KernelMembershipError,
@@ -72,7 +71,8 @@ def _context(args) -> VarContext:
 
 
 def _budget(args) -> Budget:
-    return Budget(max_degree=args.budget_degree, max_basis=args.budget_basis)
+    """The caps the command declares (as `max_*` options), the rest at their defaults."""
+    return Budget(**{k: v for k, v in vars(args).items() if k.startswith("max_")})
 
 
 def _split_polys(text: str, ctx: VarContext) -> list:
@@ -211,7 +211,7 @@ def _cmd_lnd(args, rep: Reporter):
         rep.emit("lnd.apply", "pass", {"image": format_polynomial(D(f))})
         return
     if args.action == "nilpotent":
-        cert = D.certify_nilpotent(args.cap)
+        cert = D.certify_nilpotent(_budget(args))
         rep.emit("lnd.nilpotent",
                  "pass" if cert.certified else "undetermined",
                  {"status": cert.status, "indices": cert.indices},
@@ -219,7 +219,7 @@ def _cmd_lnd(args, rep: Reporter):
         return
     if args.action == "exp":
         t = parse_polynomial(args.t, ctx)
-        m = exp_automorphism(D, t)
+        m = exp_automorphism(D, t, _budget(args))
         rep.emit("lnd.exp", "pass", {
             "images": {n: format_polynomial(g) for n, g in m.images.items()}})
         return
@@ -227,11 +227,12 @@ def _cmd_lnd(args, rep: Reporter):
     if args.action == "dixmier":
         f = parse_polynomial(args.f, ctx)
         rep.emit("lnd.dixmier", "pass",
-                 {"projection": format_polynomial(dixmier_projection(D, s, f))})
+                 {"projection": format_polynomial(dixmier_projection(D, s, f, _budget(args)))})
         return
     # kernel
-    result = kernel_from_slice(D, s, _budget(args))
-    result = certify_polynomial_ring(result, _budget(args))
+    budget = _budget(args)
+    result = kernel_from_slice(D, s, budget)
+    result = certify_polynomial_ring(result, budget)
     result = check_stably_free_shadow(result)
     payload = result.to_dict()
     worst = vn.worst_verdict(result.generation_verdict, result.pair_verdict,
@@ -253,8 +254,8 @@ def _make_spec(args) -> vn.VenereauSpec:
 
 def _cmd_venereau(args, rep: Reporter):
     spec = _make_spec(args)
-    if args.action in ("build", "family"):
-        rep.emit("venereau.%s" % args.action, "pass", {
+    if args.action == "build":
+        rep.emit("venereau.build", "pass", {
             "label": spec.label,
             "h": format_polynomial(spec.h),
             "v": format_polynomial(spec.v),
@@ -282,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--json", action="store_true", help="emit JSON-lines reports")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def budget_options(p):
-        p.add_argument("--budget-degree", type=int, default=DEFAULT_BUDGET.max_degree)
-        p.add_argument("--budget-basis", type=int, default=DEFAULT_BUDGET.max_basis)
+    def budget_options(p, *caps):
+        for cap in caps:
+            p.add_argument("--budget-" + cap, dest="max_" + cap, type=int,
+                           default=getattr(DEFAULT_BUDGET, "max_" + cap))
 
     def common(p, coeff=False, budget=True, order=True):
         p.add_argument("--vars", required=True, help="comma-separated variable names")
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", default="grevlex",
                            help="monomial order: lex, grevlex or elim:<k>")
         if budget:
-            budget_options(p)
+            budget_options(p, "degree", "basis")
 
     poly = sub.add_parser("poly", help="polynomial arithmetic").add_subparsers(
         dest="action", required=True)
@@ -338,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file with 'D(var) = poly' lines")
         if action == "apply":
             p.add_argument("--f", required=True)
-        if action == "nilpotent":
-            p.add_argument("--cap", type=int, default=DEFAULT_NILPOTENCY_CAP)
         if action == "exp":
             p.add_argument("--t", required=True, help="kernel parameter")
         if action in ("dixmier", "kernel"):
@@ -347,11 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "dixmier":
             p.add_argument("--f", required=True)
         if action == "kernel":
-            budget_options(p)
+            budget_options(p, "degree", "basis")
+        if action != "apply":
+            budget_options(p, "nilpotency")
         p.set_defaults(func=_cmd_lnd)
 
     ven = sub.add_parser("venereau").add_subparsers(dest="action", required=True)
-    for action in ("build", "family", "verify"):
+    for action in ("build", "verify"):
         p = ven.add_parser(action)
         p.add_argument("--family", choices=vn.FAMILY_NAMES, default=None)
         p.add_argument("--n", type=int, default=None, help="family parameter (default 1)")
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--Q2", default=None, help="lewis family only")
         if action == "verify":
             p.add_argument("--checks", default="residual,localized,jacobian,fibers")
-            budget_options(p)
+            budget_options(p, "degree", "basis")
         p.set_defaults(func=_cmd_venereau)
 
     return top

@@ -7,16 +7,18 @@ zero.
 
 Provided here:
   * `Derivation.iterates`, the one loop that applies D until it kills f;
-  * nilpotency certification (semi-decision with an iteration cap), whose
-    certificate keeps each fiber variable's iterates for the series;
+  * nilpotency certification (semi-decision under Budget.max_nilpotency),
+    whose certificate keeps each fiber variable's iterates for the series;
   * the order-r divided Taylor operator and the exponential shift
     f |-> f(t + e) into a context with fresh shift variables;
   * exponential automorphisms exp(t*D) for kernel parameters t;
   * the Dixmier projection pi(f) = sum_r (-s)^r D^r(f) / r! onto Ker D
     determined by a slice s (an element with D(s) = 1).
 
-Each series is one sum of products over its iterates; a series of more
-than MAX_SERIES_TERMS terms raises BudgetExceededError.
+exp(t*D), the Dixmier projection and the slice kernel certify D under a
+Budget first; an undetermined certificate, like a series of more than
+MAX_SERIES_TERMS terms (each one sum of products over its iterates), raises
+BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .groebner import BudgetExceededError
+from .groebner import DEFAULT_BUDGET, Budget, BudgetExceededError
 from .poly import (
     ContextMismatchError,
     PolyMap,
@@ -38,9 +40,6 @@ from .poly import (
 
 SHIFT_PREFIX = "_e_"
 
-#: Default iteration cap for nilpotency certification.
-DEFAULT_NILPOTENCY_CAP = 64
-
 #: Most terms an exponential-type series (exp shift, exp automorphism,
 #: Dixmier projection) may take; one more raises BudgetExceededError.
 MAX_SERIES_TERMS = 10_000
@@ -48,10 +47,6 @@ MAX_SERIES_TERMS = 10_000
 
 class InvalidSliceError(ValueError):
     """The proposed slice s does not satisfy D(s) = 1."""
-
-
-class NotCertifiedError(BudgetExceededError):
-    """The nilpotency cap ran out before an operation's certificate was found."""
 
 
 class KernelMembershipError(ValueError):
@@ -134,15 +129,14 @@ class Derivation:
             f = self(f)
         return out
 
-    def certify_nilpotent(self, cap: int = DEFAULT_NILPOTENCY_CAP) -> NilpotencyCertificate:
-        """Try to certify local nilpotency within `cap` iterations per generator.
+    def certify_nilpotent(self, budget: Budget = DEFAULT_BUDGET) -> NilpotencyCertificate:
+        """Try to certify local nilpotency under the cap budget.max_nilpotency.
 
         Returns a Certified certificate holding each generator's iterates,
         or Undetermined when some generator survives `cap` applications.
         Never a false negative: Undetermined makes no claim.
         """
-        if cap <= 0:
-            raise ValueError("cap must be positive")
+        cap = budget.max_nilpotency
         chains = {}
         for name in self.ctx.fiber_names:
             try:
@@ -152,12 +146,12 @@ class Derivation:
         self._certificate = NilpotencyCertificate("certified", chains, cap)
         return self._certificate
 
-    def _require_certificate(self) -> NilpotencyCertificate:
+    def _require_certificate(self, budget: Budget) -> NilpotencyCertificate:
         cert = self._certificate
         if cert is None:
-            cert = self.certify_nilpotent()
+            cert = self.certify_nilpotent(budget)
         if not cert.certified:
-            raise NotCertifiedError(
+            raise BudgetExceededError(
                 "derivation is not certified locally nilpotent (cap %d)" % cert.cap)
         return cert
 
@@ -212,16 +206,16 @@ def exp_shift(f: Polynomial) -> Polynomial:
     return _exp_series(Polynomial.one(E.ctx), E.iterates(f, MAX_SERIES_TERMS))
 
 
-def exp_automorphism(D: Derivation, t: Polynomial) -> PolyMap:
+def exp_automorphism(D: Derivation, t: Polynomial, budget: Budget = DEFAULT_BUDGET) -> PolyMap:
     """The ring endomorphism f |-> sum_r t^r D^r(f) / r!.
 
-    Requires D certified locally nilpotent and t in Ker D; under those
-    hypotheses it is an automorphism with inverse exp(-t*D).  Each fiber
+    Requires t in Ker D and D certified locally nilpotent under `budget`;
+    then it is an automorphism with inverse exp(-t*D).  Each fiber
     variable's series runs over the iterates the certificate keeps.
     """
     if t.ctx != D.ctx:
         raise ContextMismatchError("parameter is not in the derivation's context")
-    chains = D._require_certificate().iterates
+    chains = D._require_certificate(budget).iterates
     if not D(t).is_zero():
         raise KernelMembershipError("exp parameter must lie in Ker D: D(%s) != 0" % t)
     ctx = D.ctx
@@ -241,14 +235,15 @@ def check_slice(D: Derivation, s: Polynomial) -> None:
         raise InvalidSliceError("D(s) != 1 for s = %s" % s)
 
 
-def dixmier_projection(D: Derivation, s: Polynomial, f: Polynomial) -> Polynomial:
+def dixmier_projection(D: Derivation, s: Polynomial, f: Polynomial,
+                       budget: Budget = DEFAULT_BUDGET) -> Polynomial:
     """pi(f) = sum_r (-s)^r D^r(f) / r!, the retraction onto Ker D given a slice.
 
     pi is a ring homomorphism fixing Ker D pointwise, with pi(s) = 0 and
     D(pi(f)) = 0 for every f.
     """
     check_slice(D, s)
-    D._require_certificate()
+    D._require_certificate(budget)
     if f.ctx != D.ctx:
         raise ContextMismatchError("polynomial is not in the derivation's context")
     return _exp_series(-s, D.iterates(f, MAX_SERIES_TERMS))

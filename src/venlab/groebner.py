@@ -45,27 +45,29 @@ INV_PREFIX = "_inv_"
 
 
 class BudgetExceededError(RuntimeError):
-    """A Groebner computation hit a resource cap before finishing."""
+    """A computation hit a resource cap before finishing."""
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for Groebner computations; any breach aborts loudly.
+    """Every cap a user can set; any breach aborts loudly.
 
     `max_degree` bounds the total degree of the input generators, of every
     S-pair lcm and of every product term formed during a reduction.  It
     does not bound the other terms of an S-polynomial: under lex and elim
     these can pass the cap, and the packed keys then widen to hold them.
     `max_basis` bounds every element kept before interreduction, reduced
-    inputs and S-polynomial remainders alike.
+    inputs and S-polynomial remainders alike.  `max_nilpotency` bounds the
+    applications of a derivation per fiber variable when certifying it.
     """
 
     max_degree: int = 40
     max_basis: int = 5000
     max_reductions: int = 2_000_000
+    max_nilpotency: int = 64
 
     def __post_init__(self):
-        if self.max_degree <= 0 or self.max_basis <= 0 or self.max_reductions <= 0:
+        if min(self.max_degree, self.max_basis, self.max_reductions, self.max_nilpotency) <= 0:
             raise ValueError("budget caps must be positive")
 
 

@@ -143,10 +143,8 @@ class _Parser:
                     if name is None:
                         num *= int(n)
                         if d is not None:
-                            if not int(d):  # reported at the token after it
-                                after = _TOKEN.search(self.text, start + m.end())
-                                self.error("zero denominator",
-                                           after.start() if after else len(self.text))
+                            if not int(d):
+                                self.error("zero denominator", start + m.start(2))
                             den *= int(d)
                         continue
                     if name.startswith(RESERVED_PREFIX):

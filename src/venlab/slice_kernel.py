@@ -60,14 +60,14 @@ class SliceKernelResult:
 def kernel_from_slice(D: Derivation, s, budget: Budget = DEFAULT_BUDGET) -> SliceKernelResult:
     """Project the fiber variables onto Ker D and verify B[s] = R[x,y,z].
 
-    Checks D(s) = 1, then D's nilpotency certificate, once each; projects
-    each fiber variable by the Dixmier series, re-checked to be killed by D;
-    and expresses each fiber variable in {projected generators, s} by
-    subalgebra membership over R, the computational content of B[s] = R[x,y,z].
+    Checks D(s) = 1, then D's certificate under `budget`, once each;
+    projects each fiber variable by the Dixmier series, re-checked to be
+    killed by D; and expresses each fiber variable in {projected generators,
+    s} by subalgebra membership over R, the content of B[s] = R[x,y,z].
     """
     check_slice(D, s)
     projected = {name: _exp_series(-s, chain)
-                 for name, chain in D._require_certificate().iterates.items()}
+                 for name, chain in D._require_certificate(budget).iterates.items()}
     for name, pi_g in projected.items():
         if not D(pi_g).is_zero():
             raise AssertionError("projection of %s left the kernel" % name)

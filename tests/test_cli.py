@@ -433,7 +433,7 @@ def test_lnd_nilpotent_undetermined_exit_2(capsys, tmp_path):
     path = tmp_path / "euler.txt"
     path.write_text("D(z) = z\n")
     code, out, _ = run(capsys, "--json", "lnd", "nilpotent",
-                       "--derivation", str(path), "--cap", "5")
+                       "--derivation", str(path), "--budget-nilpotency", "5")
     assert code == 2
     (rec,) = json_lines(out)
     assert rec["verdict"] == "undetermined"
@@ -451,19 +451,34 @@ def test_lnd_nilpotency_cap(capsys, d66file):
     argv = ["--json", "lnd", "nilpotent", "--derivation", d66file]
     code, out, _ = run(capsys, *argv)
     assert (code, json_lines(out)[0]["witnesses"]["status"]) == (2, "undetermined")
-    code, out, _ = run(capsys, *argv, "--cap", "70")
+    code, out, _ = run(capsys, *argv, "--budget-nilpotency", "70")
     assert code == 0
     assert json_lines(out)[0]["witnesses"]["indices"] == {"x": 2, "y": 66}
 
 
-@pytest.mark.parametrize("extra", [["exp", "--t", "1"],
-                                   ["dixmier", "--slice", "x", "--f", "y"],
-                                   ["kernel", "--slice", "x"]],
+#: Each certifying lnd command on the index-66 file; what it reports once
+#: --budget-nilpotency 70 certifies D: exit code, a witness path and its value.
+RAISED_NILPOTENCY_CAP = [
+    (["exp", "--t", "1"], [], 0, ("images", "x"), "x + 1"),
+    (["dixmier", "--slice", "x", "--f", "y"], [], 0, ("projection",), "-1/65*x^65 + y"),
+    # the generation check passes; with two fiber variables no projected
+    # generator pair is certified, so the report stays undetermined
+    (["kernel", "--slice", "x"], ["--budget-degree", "66"], 2, ("generation", "verdict"), "pass"),
+]
+
+
+@pytest.mark.parametrize("extra, raised, code, path, value", RAISED_NILPOTENCY_CAP,
                          ids=["exp", "dixmier", "kernel"])
-def test_lnd_nilpotency_cap_running_out_is_a_budget(capsys, d66file, extra):
+def test_lnd_nilpotency_cap_running_out_is_a_budget(capsys, d66file, extra, raised, code,
+                                                    path, value):
     argv = ["--json", "lnd", extra[0], "--derivation", d66file, *extra[1:]]
     assert run(capsys, *argv) == (2, "", "venlab: resource budget exceeded: derivation "
                                          "is not certified locally nilpotent (cap 64)\n")
+    got_code, out, _ = run(capsys, *argv, *raised, "--budget-nilpotency", "70")
+    witness = json_lines(out)[0]["witnesses"]
+    for key in path:
+        witness = witness[key]
+    assert (got_code, witness) == (code, value)
 
 
 @pytest.mark.parametrize("argv, derivation, name", [
@@ -556,10 +571,11 @@ def test_lnd_bad_slice_is_usage_error(capsys, dfile):
 # venereau
 
 def test_venereau_family_build(capsys):
-    code, out, _ = run(capsys, "--json", "venereau", "family",
+    code, out, _ = run(capsys, "--json", "venereau", "build",
                        "--family", "venereau", "--n", "1")
     assert code == 0
     (rec,) = json_lines(out)
+    assert rec["check"] == "venereau.build"
     assert rec["witnesses"]["label"] == "v1"
     assert rec["witnesses"]["lambda"] == "z^2"
 
@@ -595,30 +611,30 @@ def test_venereau_empty_check_list_is_usage_error(capsys, checks):
 #: Spec options that the chosen family does not take, and checks named twice.
 SPEC_USAGE_ERRORS = [
     (["build", "--family", "venereau", "--r", "x"], "the venereau family does not take r"),
-    (["family", "--family", "venereau", "--s", "1"], "the venereau family does not take s"),
+    (["build", "--family", "venereau", "--s", "1"], "the venereau family does not take s"),
     (["verify", "--family", "venereau", "--Q", "W"], "the venereau family does not take Q"),
     (["build", "--family", "venereau", "--Q2", "W"], "the venereau family does not take Q2"),
-    (["family", "--family", "bhatwadekar-dutta", "--r", "x"],
+    (["build", "--family", "bhatwadekar-dutta", "--r", "x"],
      "the bhatwadekar-dutta family does not take r"),
     (["verify", "--family", "bhatwadekar-dutta", "--s", "1"],
      "the bhatwadekar-dutta family does not take s"),
     (["build", "--family", "bhatwadekar-dutta", "--Q", "W"],
      "the bhatwadekar-dutta family does not take Q"),
-    (["family", "--family", "bhatwadekar-dutta", "--Q2", "W"],
+    (["build", "--family", "bhatwadekar-dutta", "--Q2", "W"],
      "the bhatwadekar-dutta family does not take Q2"),
     (["verify", "--family", "daigle-freudenburg", "--Q", "W", "--checks", "residual"],
      "the daigle-freudenburg family does not take Q"),
     (["build", "--family", "daigle-freudenburg", "--r", "x", "--Q2", "W"],
      "the daigle-freudenburg family does not take Q2"),
-    (["family", "--family", "lewis", "--Q", "V", "--r", "x"], "the lewis family does not take r"),
+    (["build", "--family", "lewis", "--Q", "V", "--r", "x"], "the lewis family does not take r"),
     (["verify", "--family", "lewis", "--Q", "V", "--s", "1"], "the lewis family does not take s"),
     (["build", "--r", "x", "--Q", "V", "--Q2", "W"], "--Q2 is taken by --family lewis only"),
     (["build", "--family", "lewis", "--Q", "V", "--n", "7"], "the lewis family does not take n"),
-    (["family", "--family", "lewis", "--Q", "V", "--n", "1"], "the lewis family does not take n"),
+    (["build", "--family", "lewis", "--Q", "V", "--n", "1"], "the lewis family does not take n"),
     (["verify", "--family", "lewis", "--Q", "V", "--n", "2", "--checks", "residual"],
      "the lewis family does not take n"),
     (["build", "--r", "x", "--Q", "V", "--n", "9"], "--n is taken by a named --family only"),
-    (["family", "--Q", "V", "--n", "1"], "--n is taken by a named --family only"),
+    (["build", "--Q", "V", "--n", "1"], "--n is taken by a named --family only"),
     (["verify", "--Q", "W", "--n", "2", "--checks", "residual"],
      "--n is taken by a named --family only"),
     (["verify", "--family", "venereau", "--checks", "residual,residual"],
@@ -719,35 +735,47 @@ def test_text_mode_one_line_per_check(capsys):
 # ---------------------------------------------------------------------------
 # budget options
 
-#: One call per subcommand taking --budget-degree/--budget-basis; <D> is
-#: the derivation file.
+BUDGET = ["--budget-degree", "--budget-basis"]
+NILPOTENCY = ["--budget-nilpotency"]
+
+#: One call per subcommand taking budget options, and those options; <D>
+#: is the derivation file.
 BUDGET_COMMANDS = {
-    "groebner basis": ["groebner", "basis", "--vars", "x,y", "x y - 1"],
-    "member ideal": ["member", "ideal", "--vars", "x", "--f", "x", "--gens", "x"],
-    "member subalgebra": ["member", "subalgebra", "--vars", "z", "--f", "z^5",
-                          "--gens", "z^2,z^3"],
-    "lnd kernel": ["lnd", "kernel", "--derivation", "<D>", "--slice", "z"],
-    "venereau verify": ["venereau", "verify", "--family", "venereau", "--n", "1"],
+    "groebner basis": (["groebner", "basis", "--vars", "x,y", "x y - 1"], BUDGET),
+    "member ideal": (["member", "ideal", "--vars", "x", "--f", "x", "--gens", "x"], BUDGET),
+    "member subalgebra": (["member", "subalgebra", "--vars", "z", "--f", "z^5",
+                           "--gens", "z^2,z^3"], BUDGET),
+    "lnd nilpotent": (["lnd", "nilpotent", "--derivation", "<D>"], NILPOTENCY),
+    "lnd exp": (["lnd", "exp", "--derivation", "<D>", "--t", "a"], NILPOTENCY),
+    "lnd dixmier": (["lnd", "dixmier", "--derivation", "<D>", "--slice", "z", "--f", "y"],
+                    NILPOTENCY),
+    "lnd kernel": (["lnd", "kernel", "--derivation", "<D>", "--slice", "z"],
+                   [*BUDGET, *NILPOTENCY]),
+    "venereau verify": (["venereau", "verify", "--family", "venereau", "--n", "1"], BUDGET),
 }
 
 
 def _subcommands_with_budget(parser, prefix=()):
+    options = [s for action in parser._actions for s in action.option_strings
+               if s.startswith("--budget-")]
+    if options:
+        yield " ".join(prefix), sorted(options)
     for action in parser._actions:
-        if "--budget-degree" in action.option_strings:
-            yield " ".join(prefix)
         if action.choices and hasattr(action.choices, "items"):
             for name, sub in action.choices.items():
                 yield from _subcommands_with_budget(sub, prefix + (name,))
 
 
 def test_budget_commands_cover_every_subcommand():
-    assert sorted(_subcommands_with_budget(build_parser())) == sorted(BUDGET_COMMANDS)
+    assert dict(_subcommands_with_budget(build_parser())) == {
+        command: sorted(options) for command, (_, options) in BUDGET_COMMANDS.items()}
 
 
-@pytest.mark.parametrize("option", ["--budget-degree", "--budget-basis"])
-@pytest.mark.parametrize("command", sorted(BUDGET_COMMANDS))
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, (_, options) in sorted(BUDGET_COMMANDS.items())
+    for option in options])
 def test_zero_budget_is_usage_error(capsys, dfile, command, option):
-    argv = [dfile if a == "<D>" else a for a in BUDGET_COMMANDS[command]]
+    argv = [dfile if a == "<D>" else a for a in BUDGET_COMMANDS[command][0]]
     code, out, err = run(capsys, *argv, option, "0")
     assert code == 3
     assert out == ""
@@ -758,7 +786,6 @@ def test_zero_budget_is_usage_error(capsys, dfile, command, option):
 # option surface: each option is declared where it changes the result
 
 VENEREAU_SPEC = ["--family", "--n", "--r", "--s", "--Q", "--Q2"]
-BUDGET = ["--budget-degree", "--budget-basis"]
 
 #: Option strings of every command, help aside.
 OPTIONS = {
@@ -771,12 +798,11 @@ OPTIONS = {
     "member ideal": ["--vars", "--order", *BUDGET, "--f", "--gens"],
     "member subalgebra": ["--vars", "--coeff-vars", *BUDGET, "--f", "--gens", "--invert"],
     "lnd apply": ["--derivation", "--f"],
-    "lnd nilpotent": ["--derivation", "--cap"],
-    "lnd exp": ["--derivation", "--t"],
-    "lnd dixmier": ["--derivation", "--slice", "--f"],
-    "lnd kernel": ["--derivation", "--slice", *BUDGET],
+    "lnd nilpotent": ["--derivation", *NILPOTENCY],
+    "lnd exp": ["--derivation", "--t", *NILPOTENCY],
+    "lnd dixmier": ["--derivation", "--slice", "--f", *NILPOTENCY],
+    "lnd kernel": ["--derivation", "--slice", *BUDGET, *NILPOTENCY],
     "venereau build": VENEREAU_SPEC,
-    "venereau family": VENEREAU_SPEC,
     "venereau verify": [*VENEREAU_SPEC, "--checks", *BUDGET],
 }
 
@@ -795,7 +821,7 @@ def _option_strings(parser, prefix=()):
 def test_every_option_is_declared_where_it_is_read():
     surface = dict(_option_strings(build_parser()))
     assert surface == {command: sorted(options) for command, options in OPTIONS.items()}
-    assert sum(map(len, surface.values())) == 61
+    assert sum(map(len, surface.values())) == 58
 
 
 @pytest.mark.parametrize("argv", [
@@ -806,8 +832,10 @@ def test_every_option_is_declared_where_it_is_read():
     ["groebner", "basis", "--vars", "x", "--coeff-vars", "x", "x"],
     ["member", "ideal", "--vars", "x", "--coeff-vars", "x", "--f", "x", "--gens", "x"],
     ["member", "subalgebra", "--vars", "x", "--order", "lex", "--f", "x", "--gens", "x"],
+    ["lnd", "nilpotent", "--derivation", "D.txt", "--cap", "5"],
+    ["venereau", "family", "--family", "venereau", "--n", "1"],
 ], ids=["poly-print", "poly-diff", "poly-eval", "poly-compose", "groebner-basis",
-        "member-ideal", "member-subalgebra-order"])
+        "member-ideal", "member-subalgebra-order", "lnd-nilpotent-cap", "venereau-family"])
 def test_removed_options_are_usage_errors(argv):
     proc = _run_module("venlab.cli", *argv)
     assert proc.returncode == 3

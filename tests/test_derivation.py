@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from venlab import derivation, poly
 from venlab.derivation import (
-    DEFAULT_NILPOTENCY_CAP,
     Derivation,
     InvalidSliceError,
     KernelMembershipError,
-    NotCertifiedError,
     SHIFT_PREFIX,
     check_slice,
     dixmier_projection,
@@ -23,7 +21,7 @@ from venlab.derivation import (
     shift_context,
     taylor_term,
 )
-from venlab.groebner import BudgetExceededError
+from venlab.groebner import DEFAULT_BUDGET, Budget, BudgetExceededError
 from venlab.parse import parse_polynomial
 from venlab.poly import ExponentOverflowError, Polynomial, VarContext
 
@@ -113,7 +111,7 @@ def test_certificate_cap_boundary(monkeypatch, cap, status, indices, application
     calls = []
     real = Derivation.__call__
     monkeypatch.setattr(Derivation, "__call__", lambda self, f: calls.append(f) or real(self, f))
-    cert = D.certify_nilpotent(cap)
+    cert = D.certify_nilpotent(Budget(max_nilpotency=cap))
     assert (cert.status, cert.indices, len(calls)) == (status, indices, applications)
     assert (D._certificate is cert) == cert.certified
 
@@ -128,19 +126,19 @@ def test_certify_single_partial():
 def test_certify_euler_like_is_undetermined():
     # D(z) = z never vanishes under iteration: the cap must report honestly
     D = Derivation(CTX, {"z": Z})
-    cert = D.certify_nilpotent(cap=10)
+    cert = D.certify_nilpotent(Budget(max_nilpotency=10))
     assert cert.status == "undetermined"
     assert cert.cap == 10
 
 
 def test_uncertified_derivation_blocks_exponentials():
     D = Derivation(CTX, {"z": Z})
-    with pytest.raises(NotCertifiedError):
+    with pytest.raises(BudgetExceededError, match="not certified locally nilpotent"):
         exp_automorphism(D, Polynomial.one(CTX))
 
 
 def test_default_cap_is_reasonable():
-    assert DEFAULT_NILPOTENCY_CAP >= 32
+    assert DEFAULT_BUDGET.max_nilpotency == 64
 
 
 # ---------------------------------------------------------------------------

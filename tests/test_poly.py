@@ -326,7 +326,8 @@ MALFORMED = [
     ("x +", "expected a coefficient, variable or '('", 1, 4),
     ("y + + z", "expected a coefficient, variable or '('", 1, 5),
     ("2/", "expected a denominator", 1, 3),
-    ("2/0", "zero denominator", 1, 4),
+    ("2/0", "zero denominator", 1, 3),
+    ("1 + 2 / 0", "zero denominator", 1, 9),
     ("2/x", "expected a denominator", 1, 3),
     ("x^", "expected an exponent", 1, 3),
     ("x^y", "expected an exponent", 1, 3),
@@ -351,7 +352,7 @@ MALFORMED = [
     ("1/2/3", "unexpected trailing input", 1, 4),
     ("x\t@", "unexpected character '@'", 1, 3),
     ("x -\n", "expected a coefficient, variable or '('", 2, 1),
-    ("3 x^2 y (z + 1/0)", "zero denominator", 1, 17),
+    ("3 x^2 y (z + 1/0)", "zero denominator", 1, 16),
     ("\u0663*x", "unexpected character '\u0663'", 1, 1),
     ("x\xa0+ 1", "unexpected character '\\xa0'", 1, 2),
 ]

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from venlab import derivation, groebner, slice_kernel
-from venlab.derivation import (Derivation, InvalidSliceError, NotCertifiedError,
-                               dixmier_projection, exp_automorphism)
-from venlab.groebner import Budget
+from venlab.derivation import (Derivation, InvalidSliceError, dixmier_projection,
+                               exp_automorphism)
+from venlab.groebner import Budget, BudgetExceededError
 from venlab.parse import parse_polynomial
 from venlab.poly import Polynomial, VarContext
 from venlab.slice_kernel import (
@@ -143,17 +143,18 @@ def test_kernel_checks_the_slice_and_the_certificate_once(monkeypatch):
         slices.append(s)
         return real_check(D, s)
 
-    def require(self):
-        certificates.append(self)
-        return real_require(self)
+    def require(self, budget):
+        certificates.append((self, budget))
+        return real_require(self, budget)
 
     monkeypatch.setattr(derivation, "check_slice", check)
     monkeypatch.setattr(slice_kernel, "check_slice", check)
     monkeypatch.setattr(Derivation, "_require_certificate", require)
     D = Derivation(CTX, {"y": X, "z": Polynomial.one(CTX)})
-    assert kernel_from_slice(D, Z).generation_verdict == "pass"
+    budget = Budget(max_nilpotency=3)
+    assert kernel_from_slice(D, Z, budget).generation_verdict == "pass"
     assert slices == [Z]
-    assert certificates == [D]
+    assert certificates == [(D, budget)]
 
 
 def test_series_reuse_the_certificate(monkeypatch):
@@ -179,7 +180,7 @@ def test_kernel_checks_the_slice_before_the_certificate():
     D = Derivation(CTX, {"y": Y, "z": Polynomial.one(CTX)})
     with pytest.raises(InvalidSliceError):
         kernel_from_slice(D, Z ** 2)
-    with pytest.raises(NotCertifiedError):
+    with pytest.raises(BudgetExceededError, match="not certified locally nilpotent"):
         kernel_from_slice(D, Z)
 
 
