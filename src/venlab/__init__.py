@@ -11,6 +11,7 @@ from .poly import (
     ContextMismatchError,
     ExponentOverflowError,
     GREVLEX,
+    InputError,
     MonomialOrder,
     NEG_INFINITY,
     PolyMap,
@@ -38,6 +39,7 @@ __all__ = [
     "ExponentOverflowError",
     "GREVLEX",
     "GroebnerBasis",
+    "InputError",
     "MembershipResult",
     "MonomialOrder",
     "NEG_INFINITY",

@@ -11,8 +11,10 @@ Subcommands::
 Reports are emitted as JSON lines on stdout when ``--json`` is given
 (one object per check: schema, check, verdict, witnesses, stats), or as
 concise text otherwise.  Diagnostics go to stderr.  Exit codes: 0 all
-pass, 1 any fail, 2 undetermined, 3 usage error.  Identical inputs give
-byte-identical reports.
+pass, 1 any fail, 2 undetermined, 3 input rejected: a usage error of
+argparse, or an `InputError` raised where input enters, with one
+``venlab: error:`` line.  Any other exception is a bug and propagates.
+Identical inputs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import venereau as vn
-from .derivation import (
-    Derivation,
-    InvalidSliceError,
-    KernelMembershipError,
-    exp_automorphism,
-    dixmier_projection,
-    parse_derivation,
-)
+from .derivation import Derivation, exp_automorphism, dixmier_projection, parse_derivation
 from .groebner import (
     Budget,
     BudgetExceededError,
@@ -39,14 +34,8 @@ from .groebner import (
     normal_form,
     subalgebra_member,
 )
-from .parse import ParseError, format_polynomial, parse_polynomial, reject_reserved_names
-from .poly import (
-    ContextMismatchError,
-    ExponentOverflowError,
-    MonomialOrder,
-    Polynomial,
-    VarContext,
-)
+from .parse import format_polynomial, parse_polynomial, reject_reserved_names
+from .poly import InputError, MonomialOrder, Polynomial, VarContext
 from .slice_kernel import certify_polynomial_ring, check_stably_free_shadow, kernel_from_slice
 
 USAGE_ERROR = 3
@@ -113,11 +102,11 @@ def _named_items(items, option: str, ctx: VarContext, noun: str, repeated: str):
         name, eq, value = item.partition("=")
         name = name.strip()
         if not eq:
-            raise ValueError("%s item %r is not name=value" % (option, item))
+            raise InputError("%s item %r is not name=value" % (option, item))
         if name not in ctx:
-            raise ValueError("%s %r in %s is not in --vars" % (noun, name, option))
+            raise InputError("%s %r in %s is not in --vars" % (noun, name, option))
         if name in seen:
-            raise ValueError("%s %r %s %s" % (noun, name, repeated, option))
+            raise InputError("%s %r %s %s" % (noun, name, repeated, option))
         seen.add(name)
         yield name, value
 
@@ -138,7 +127,9 @@ def _cmd_poly(args, rep: Reporter):
             try:
                 point[name] = Fraction(val.strip())
             except ZeroDivisionError:
-                raise ValueError("zero denominator in --at value %r" % val.strip())
+                raise InputError("zero denominator in --at value %r" % val.strip())
+            except ValueError:
+                raise InputError("--at value %r is not a rational number" % val.strip())
         rep.emit("poly.eval", "pass", {"value": str(f.evaluate(point))})
     elif args.action == "compose":
         images = {name: parse_polynomial(expr, ctx) for name, expr in
@@ -199,8 +190,14 @@ def _cmd_member(args, rep: Reporter):
 
 
 def _load_derivation(args) -> Derivation:
-    with open(args.derivation) as fh:
-        return parse_derivation(fh.read())
+    try:
+        with open(args.derivation, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError("cannot read --derivation %r: %s" % (args.derivation, exc.strerror))
+    except UnicodeDecodeError:
+        raise InputError("--derivation %r is not UTF-8 text" % args.derivation)
+    return parse_derivation(text)
 
 
 def _cmd_lnd(args, rep: Reporter):
@@ -244,12 +241,13 @@ def _make_spec(args) -> vn.VenereauSpec:
     if args.family:
         return vn.family(args.family, n=args.n, Q=args.Q, Q2=args.Q2, r=args.r, s=args.s)
     if args.Q is None:
-        raise ValueError("either --family or --Q is required")
+        raise InputError("either --family or --Q is required")
     if args.Q2 is not None:
-        raise ValueError("--Q2 is taken by --family lewis only")
+        raise InputError("--Q2 is taken by --family lewis only")
     if args.n is not None:
-        raise ValueError("--n is taken by a named --family only")
-    return vn.build(args.r or 0, args.s or 0, args.Q, label="custom")
+        raise InputError("--n is taken by a named --family only")
+    return vn.build(0 if args.r is None else args.r, 0 if args.s is None else args.s, args.Q,
+                    label="custom")
 
 
 def _cmd_venereau(args, rep: Reporter):
@@ -266,10 +264,10 @@ def _cmd_venereau(args, rep: Reporter):
         return
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not checks:
-        raise ValueError("--checks names no check")
+        raise InputError("--checks names no check")
     twice = next((c for i, c in enumerate(checks) if c in checks[:i]), None)
     if twice is not None:
-        raise ValueError("check %r named twice in --checks" % twice)
+        raise InputError("check %r named twice in --checks" % twice)
     for report in vn.run_checks(spec, checks, _budget(args)):
         rep.emit_report(report)
 
@@ -393,12 +391,8 @@ def _run(argv) -> int:
     rep = Reporter(args.json)
     try:
         args.func(args, rep)
-    except (ParseError, ContextMismatchError, InvalidSliceError,
-            KernelMembershipError, ExponentOverflowError,
-            ValueError, KeyError, OSError) as exc:
-        # str() of a KeyError is the repr of its argument, quotes included
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print("venlab: error: %s" % message, file=sys.stderr)
+    except InputError as exc:
+        print("venlab: error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     except (BudgetExceededError, MemoryError) as exc:
         print("venlab: resource budget exceeded: %s" % (str(exc) or "out of memory"),

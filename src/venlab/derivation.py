@@ -31,6 +31,7 @@ from typing import Mapping
 from .groebner import DEFAULT_BUDGET, Budget, BudgetExceededError
 from .poly import (
     ContextMismatchError,
+    InputError,
     PolyMap,
     Polynomial,
     VarContext,
@@ -43,14 +44,6 @@ SHIFT_PREFIX = "_e_"
 #: Most terms an exponential-type series (exp shift, exp automorphism,
 #: Dixmier projection) may take; one more raises BudgetExceededError.
 MAX_SERIES_TERMS = 10_000
-
-
-class InvalidSliceError(ValueError):
-    """The proposed slice s does not satisfy D(s) = 1."""
-
-
-class KernelMembershipError(ValueError):
-    """A parameter required to lie in Ker D does not."""
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,7 @@ def exp_automorphism(D: Derivation, t: Polynomial, budget: Budget = DEFAULT_BUDG
         raise ContextMismatchError("parameter is not in the derivation's context")
     chains = D._require_certificate(budget).iterates
     if not D(t).is_zero():
-        raise KernelMembershipError("exp parameter must lie in Ker D: D(%s) != 0" % t)
+        raise InputError("exp parameter must lie in Ker D: D(%s) != 0" % t)
     ctx = D.ctx
     images = {name: _exp_series(t, chains[name]) if name in chains
               else Polynomial.variable(ctx, name) for name in ctx.names}
@@ -232,7 +225,7 @@ def check_slice(D: Derivation, s: Polynomial) -> None:
     if s.ctx != D.ctx:
         raise ContextMismatchError("slice is not in the derivation's context")
     if D(s) != Polynomial.one(D.ctx):
-        raise InvalidSliceError("D(s) != 1 for s = %s" % s)
+        raise InputError("D(s) != 1 for s = %s" % s)
 
 
 def dixmier_projection(D: Derivation, s: Polynomial, f: Polynomial,
@@ -255,7 +248,7 @@ def parse_derivation(text: str) -> Derivation:
     One ``D(<var>) = <polynomial>`` line per fiber variable; an optional
     ``# constants: <v1> <v2> ...`` header declares the coefficient block.
     The context is the header's variables, then the D-lines' in line
-    order; a name with the reserved prefix raises ValueError.
+    order; a name with the reserved prefix raises InputError.
     """
     from .parse import parse_polynomial, reject_reserved_names
 
@@ -271,11 +264,11 @@ def parse_derivation(text: str) -> Derivation:
                 constants = body.split(":", 1)[1].replace(",", " ").split()
             continue
         if not line.startswith("D(") or "=" not in line:
-            raise ValueError("bad derivation line: %r" % raw)
+            raise InputError("bad derivation line: %r" % raw)
         head, expr = line.split("=", 1)
         var = head.strip()[2:].rstrip()
         if not var.endswith(")"):
-            raise ValueError("bad derivation line: %r" % raw)
+            raise InputError("bad derivation line: %r" % raw)
         lines.append((var[:-1].strip(), expr.strip()))
     ctx = VarContext(tuple(constants) + tuple(v for v, _ in lines),
                      coeff_block=tuple(constants))

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 from .poly import (
     GREVLEX,
     ContextMismatchError,
+    InputError,
     MonomialOrder,
     Polynomial,
     VarContext,
@@ -68,7 +69,7 @@ class Budget:
 
     def __post_init__(self):
         if min(self.max_degree, self.max_basis, self.max_reductions, self.max_nilpotency) <= 0:
-            raise ValueError("budget caps must be positive")
+            raise InputError("budget caps must be positive")
 
 
 DEFAULT_BUDGET = Budget()
@@ -502,12 +503,13 @@ def tag_ring(ctx: VarContext, n_gens: int, invert: str = None) -> tuple:
     """(work_ctx, order, tags, inv_name) of tag-variable elimination over ctx.
 
     The variables outside the coefficient block come first and form the
-    eliminated block of the elim order; then the coefficient block, the
-    reciprocal x_inv of an inverted variable x, and one tag per generator.
-    An `invert` outside the coefficient block raises ValueError.
+    eliminated block of the elim order (grevlex when the block is empty);
+    then the coefficient block, the reciprocal x_inv of an inverted
+    variable x, and one tag per generator.
+    An `invert` outside the coefficient block raises InputError.
     """
     if invert is not None and invert not in ctx.coeff_block:
-        raise ValueError("cannot invert %r: not in the coefficient block %r"
+        raise InputError("cannot invert %r: not in the coefficient block %r"
                          % (invert, ctx.coeff_block))
     coeff = set(ctx.coeff_block)
     elim = [n for n in ctx.names if n not in coeff]
@@ -518,7 +520,8 @@ def tag_ring(ctx: VarContext, n_gens: int, invert: str = None) -> tuple:
         low.append(inv_name)
     tags = tuple("%s%d" % (TAG_PREFIX, i) for i in range(n_gens))
     work_ctx = VarContext(tuple(elim) + tuple(low) + tags)
-    return work_ctx, MonomialOrder("elim", block_split=len(elim)), tags, inv_name
+    order = MonomialOrder("elim", block_split=len(elim)) if elim else GREVLEX
+    return work_ctx, order, tags, inv_name
 
 
 def times_x(f: Polynomial, invert: str, k: int) -> Polynomial:
@@ -553,7 +556,7 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
     expanded as usual.  Budget exhaustion yields status 'undetermined' (for
     every target when the basis itself runs out), as does a witness that
     fails its re-check; never a wrong boolean.  An `invert` outside the
-    coefficient block raises ValueError.
+    coefficient block raises InputError.
     """
     if not targets:
         return

@@ -37,6 +37,7 @@ from .poly import (
     EXPONENT_LIMIT,
     GREVLEX,
     RESERVED_PREFIX,
+    InputError,
     MonomialOrder,
     Polynomial,
     VarContext,
@@ -50,7 +51,7 @@ from .poly import (
 MAX_NESTING = 100
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Syntax or name error, with 1-based line/column position."""
 
     def __init__(self, message: str, line: int, column: int):
@@ -220,7 +221,7 @@ def reject_reserved_names(names) -> None:
     """Reject user-given variable names with the reserved prefix, as the parser does."""
     for name in names:
         if name.startswith(RESERVED_PREFIX):
-            raise ValueError("identifier %r uses the reserved prefix %r" % (name, RESERVED_PREFIX))
+            raise InputError("identifier %r uses the reserved prefix %r" % (name, RESERVED_PREFIX))
 
 
 def parse_polynomial(text: str, ctx: VarContext) -> Polynomial:

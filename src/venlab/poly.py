@@ -44,11 +44,15 @@ RESERVED_PREFIX = "_"
 Scalar = Union[int, Fraction]
 
 
+class InputError(ValueError):
+    """Input from outside the program was rejected."""
+
+
 class ContextMismatchError(ValueError):
     """Two operands live in different variable contexts."""
 
 
-class ExponentOverflowError(OverflowError):
+class ExponentOverflowError(InputError, OverflowError):
     """An exponent exceeded EXPONENT_LIMIT."""
 
 
@@ -65,11 +69,11 @@ class VarContext:
         names = tuple(names)
         coeff_block = tuple(coeff_block)
         if not all(n and n.isascii() and n.replace("_", "a").isidentifier() for n in names):
-            raise ValueError("variable names must be nonempty ASCII identifiers: %r" % (names,))
+            raise InputError("variable names must be nonempty ASCII identifiers: %r" % (names,))
         if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names: %r" % (names,))
+            raise InputError("duplicate variable names: %r" % (names,))
         if names[: len(coeff_block)] != coeff_block:
-            raise ValueError("coefficient block %r is not a prefix of %r" % (coeff_block, names))
+            raise InputError("coefficient block %r is not a prefix of %r" % (coeff_block, names))
         self.names = names
         self.coeff_block = coeff_block
         self._index = {n: i for i, n in enumerate(names)}
@@ -88,7 +92,7 @@ class VarContext:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError("unknown variable %r in context %r" % (name, self.names))
+            raise InputError("unknown variable %r in context %r" % (name, self.names))
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -206,9 +210,9 @@ class MonomialOrder:
 
     def __init__(self, kind: str = "grevlex", block_split: int = 0):
         if kind not in ("lex", "grevlex", "elim"):
-            raise ValueError("unknown monomial order kind %r" % kind)
+            raise InputError("unknown monomial order kind %r" % kind)
         if kind == "elim" and block_split <= 0:
-            raise ValueError("elimination order needs a positive block_split")
+            raise InputError("elimination order needs a positive block_split")
         self.kind = kind
         self.block_split = block_split
 
@@ -269,7 +273,12 @@ class MonomialOrder:
     def parse(cls, text: str) -> "MonomialOrder":
         """Parse an order descriptor: 'lex', 'grevlex' or 'elim:<k>'."""
         if text.startswith("elim:"):
-            return cls("elim", int(text.split(":", 1)[1]))
+            k = text.split(":", 1)[1]
+            try:
+                k = int(k)
+            except ValueError:
+                raise InputError("elimination block size %r is not an integer" % k) from None
+            return cls("elim", k)
         return cls(text)
 
 
@@ -495,7 +504,7 @@ class Polynomial:
         used = self.variables_used()
         for n in self.ctx.names:
             if n in used and n not in point:
-                raise KeyError("no value for variable %r" % n)
+                raise InputError("no value for variable %r" % n)
         images = {n: Polynomial.constant(self.ctx, point[n]) for n in used}
         return self.substitute(images).coefficient((0,) * self.ctx.arity)
 

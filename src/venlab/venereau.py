@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .groebner import (Budget, DEFAULT_BUDGET, MembershipResult, subalgebra_members, tag_ring,
                        times_x)
 from .parse import format_polynomial, parse_polynomial
-from .poly import Polynomial, VarContext, _sum_of_products, jacobian_det
+from .poly import InputError, Polynomial, VarContext, _sum_of_products, jacobian_det
 
 #: Context of every built spec: k[x][y,z,u].
 MAIN_CONTEXT = VarContext(["x", "y", "z", "u"], coeff_block=["x"])
@@ -135,7 +135,7 @@ def _as_x_polynomial(f) -> Polynomial:
         f = f.rename_context(MAIN_CONTEXT)
     bad = f.variables_used() - {"x"}
     if bad:
-        raise ValueError("r and s must be univariate in x; found %s" % sorted(bad))
+        raise InputError("r and s must be univariate in x; found %s" % sorted(bad))
     return f
 
 
@@ -184,17 +184,17 @@ def family(name: str, n: int = None, Q=None, Q2=None, r=None, s=None) -> Venerea
       * lewis:               r = s = 0, h = y + x^2 Q + x^3 v Q2(x, v^2, w)
 
     None means "not given" for n (default 1), r, s, Q and Q2; giving one
-    that the family does not take raises ValueError.
+    that the family does not take raises InputError.
     """
     if name not in FAMILY_NAMES:
-        raise ValueError("unknown family %r (expected one of %s)" % (name, ", ".join(FAMILY_NAMES)))
+        raise InputError("unknown family %r (expected one of %s)" % (name, ", ".join(FAMILY_NAMES)))
     takes = {"daigle-freudenburg": ("n", "r", "s"), "lewis": ("Q", "Q2")}.get(name, ("n",))
     for option, value in (("n", n), ("r", r), ("s", s), ("Q", Q), ("Q2", Q2)):
         if value is not None and option not in takes:
-            raise ValueError("the %s family does not take %s" % (name, option))
+            raise InputError("the %s family does not take %s" % (name, option))
     n = 1 if n is None else n
     if n < 1:
-        raise ValueError("family parameter n must be >= 1, got %d" % n)
+        raise InputError("family parameter n must be >= 1, got %d" % n)
     xq = Polynomial.variable(Q_CONTEXT, "x")
     V = Polynomial.variable(Q_CONTEXT, "V")
     W = Polynomial.variable(Q_CONTEXT, "W")
@@ -203,10 +203,11 @@ def family(name: str, n: int = None, Q=None, Q2=None, r=None, s=None) -> Venerea
     if name == "bhatwadekar-dutta":
         return build(1, 0, xq ** (n - 1) * V, label="b%d" % n)
     if name == "daigle-freudenburg":
-        return build(r or 0, s or 0, xq ** (n - 1) * V, label="df%d" % n)
+        return build(0 if r is None else r, 0 if s is None else s, xq ** (n - 1) * V,
+                     label="df%d" % n)
     # lewis
     if Q is None:
-        raise ValueError("the lewis family needs Q")
+        raise InputError("the lewis family needs Q")
     if isinstance(Q, str):
         Q = parse_polynomial(Q, Q_CONTEXT)
     if Q2 is None:
@@ -445,5 +446,5 @@ def _run_check(name: str, spec: VenereauSpec, budget: Budget, samples: Sequence[
                                       _run_check("localized", spec, budget, samples, done),
                                       _run_check("residual", spec, budget, samples, done))
         else:
-            raise ValueError("unknown check %r" % name)
+            raise InputError("unknown check %r" % name)
     return done[name]

@@ -12,6 +12,7 @@ import pytest
 
 from venlab import cli, derivation
 from venlab.cli import build_parser, main
+from venlab.poly import ContextMismatchError, Polynomial
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -154,6 +155,51 @@ def test_key_error_prints_its_message(argv, line):
     assert proc.stderr == line + "\n"
 
 
+#: Inputs whose rejection printed a builtin's own text (`invalid literal for
+#: int() with base 10`, `Invalid literal for Fraction`); each now has its own.
+NAMED_INPUT_ERRORS = [
+    (["groebner", "basis", "--vars", "x", "--order", "elim:x", "x"],
+     "elimination block size 'x' is not an integer"),
+    (["member", "ideal", "--vars", "x", "--order", "elim:", "--f", "x", "--gens", "x"],
+     "elimination block size '' is not an integer"),
+    (["poly", "print", "--vars", "x", "--order", "elim:\u00b2", "x"],
+     "elimination block size '\u00b2' is not an integer"),
+    (["poly", "eval", "--vars", "x", "--at", "x=abc", "x"],
+     "--at value 'abc' is not a rational number"),
+]
+
+
+@pytest.mark.parametrize("argv, line", NAMED_INPUT_ERRORS,
+                         ids=["elim-x", "elim-empty", "elim-superscript", "at-abc"])
+def test_rejected_values_get_a_named_message(capsys, argv, line):
+    assert run(capsys, *argv) == (3, "", "venlab: error: %s\n" % line)
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("missing", "cannot read --derivation '{}': No such file or directory"),
+    ("directory", "cannot read --derivation '{}': Is a directory"),
+    ("not-utf8", "--derivation '{}' is not UTF-8 text"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_derivation_file_is_usage_error(capsys, tmp_path, kind, line):
+    path = tmp_path if kind == "directory" else tmp_path / "D.txt"
+    if kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    assert run(capsys, "lnd", "nilpotent", "--derivation", str(path)) == (
+        3, "", "venlab: error: %s\n" % line.format(path))
+
+
+def test_derivation_files_are_read_as_utf8_under_any_locale(tmp_path):
+    path = tmp_path / "D.txt"
+    path.write_text("# V\u00e9n\u00e9reau\nD(x) = 1\n", encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "venlab", "lnd", "nilpotent",
+                           "--derivation", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "lnd.nilpotent: pass\n", "")
+
+
 def _digit_limit():
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
 
@@ -263,6 +309,18 @@ def test_out_of_memory_is_undetermined(capsys, monkeypatch, message, line):
     code, out, err = run(capsys, "--json", "poly", "compose", "--vars", "x,y",
                          "--map", "x=y + 1/2", "x^4")
     assert (code, out, err) == (2, "", "venlab: resource budget exceeded: %s\n" % line)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError, OSError, ContextMismatchError])
+def test_internal_errors_are_not_usage_errors(capsys, monkeypatch, error):
+    """Exit 3 is for rejected input; an error inside the program propagates."""
+    def broken(self, name):
+        raise error("an internal fault")
+
+    monkeypatch.setattr(Polynomial, "partial", broken)
+    with pytest.raises(error, match="an internal fault"):
+        main(["poly", "diff", "--vars", "x", "--wrt", "x", "x^2"])
+    assert capsys.readouterr().err == ""
 
 
 #: `main` calls that share one parser.  `--map` appends to a list default,
@@ -391,6 +449,22 @@ def test_empty_generator_list(capsys, argv, code, witnesses):
     # R[] = R, and no generators make the zero ideal
     got, out, err = run(capsys, "--json", "member", *argv, "--gens", "")
     assert (got, err) == (code, "")
+    (rec,) = json_lines(out)
+    assert rec["witnesses"] == witnesses
+
+
+@pytest.mark.parametrize("argv, witnesses", [
+    (["--vars", "x", "--coeff-vars", "x", "--f", "x", "--gens", "x"],
+     {"member": True, "witness": "_t0", "tags": {"_t0": "x"}, "validated": True}),
+    (["--vars", "x,y", "--coeff-vars", "x,y", "--f", "x y", "--gens", ""],
+     {"member": True, "witness": "x*y", "tags": {}, "validated": True}),
+    (["--vars", "x", "--coeff-vars", "x", "--invert", "x", "--f", "x", "--gens", ""],
+     {"member": True, "witness": "x", "tags": {}, "validated": True}),
+], ids=["one-generator", "no-generator", "inverted"])
+def test_member_subalgebra_with_no_eliminated_variable(capsys, argv, witnesses):
+    # every variable is in the coefficient block, so f is in R[gens]
+    code, out, err = run(capsys, "--json", "member", "subalgebra", *argv)
+    assert (code, err) == (0, "")
     (rec,) = json_lines(out)
     assert rec["witnesses"] == witnesses
 
@@ -649,6 +723,18 @@ SPEC_USAGE_ERRORS = [
 def test_venereau_options_the_spec_does_not_take_are_usage_errors(capsys, argv, line):
     code, out, err = run(capsys, "--json", "venereau", *argv)
     assert (code, out, err) == (3, "", "venlab: error: %s\n" % line)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--r", "x", "--Q", ""],
+    ["build", "--r", "", "--Q", "V"],
+    ["build", "--r", "x", "--s", "", "--Q", "V"],
+    ["verify", "--family", "daigle-freudenburg", "--r", "", "--s", "1"],
+    ["build", "--family", "daigle-freudenburg", "--r", "1", "--s", ""],
+], ids=["custom-Q", "custom-r", "custom-s", "df-r", "df-s"])
+def test_empty_spec_polynomial_is_a_parse_error(capsys, argv):
+    line = "venlab: error: expected a coefficient, variable or '(' (line 1, column 1)\n"
+    assert run(capsys, "venereau", *argv) == (3, "", line)
 
 
 #: Byte-pinned reports of the budget-starved v1 verify (--budget-degree 4).

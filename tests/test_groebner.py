@@ -20,7 +20,7 @@ from venlab.groebner import (
     times_x,
 )
 from venlab.parse import parse_polynomial
-from venlab.poly import MonomialOrder, Polynomial, VarContext
+from venlab.poly import GREVLEX, MonomialOrder, Polynomial, VarContext
 
 from helpers import (_order_cmp, ideal_member_linear, mono_divides, mono_mul,
                      naive_buchberger, naive_evaluate, random_polynomial)
@@ -446,6 +446,19 @@ def test_subalgebra_with_inverted_variable():
     res = subalgebra_member(z, [x * z], invert="x")
     assert res.status == "member"
     assert res.witness_identity_holds(z, [x * z])
+
+
+def test_subalgebra_over_the_coefficient_block_alone():
+    # no variable is eliminated: the tag ring takes grevlex, the elim order
+    # with an empty first block, and every f in R = Q[x, y] is a member
+    ctx = VarContext(["x", "y"], coeff_block=["x", "y"])
+    x = Polynomial.variable(ctx, "x")
+    y = Polynomial.variable(ctx, "y")
+    assert tag_ring(ctx, 1)[1] == GREVLEX
+    for f, gens in [(x * y, []), (x ** 2 + y, [x]), (x * y - 1, [x * y, y ** 2])]:
+        result = subalgebra_member(f, gens)
+        assert result.status == "member"
+        assert result.witness_identity_holds(f, gens)
 
 
 @pytest.mark.parametrize("coeff_block", [(), ("x",)], ids=["no-block", "x-block"])

@@ -9,10 +9,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import venlab
 from venlab.poly import (
     EXPONENT_LIMIT,
     ContextMismatchError,
     ExponentOverflowError,
+    InputError,
     NEG_INFINITY,
     MonomialOrder,
     PolyMap,
@@ -92,7 +94,7 @@ def test_partial_basic():
 
 
 def test_partial_unknown_variable():
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match="^unknown variable 'w' in context "):
         X.partial("w")
 
 
@@ -113,6 +115,22 @@ def test_exponent_overflow_detected():
     big = Polynomial(CTX, {(2**62 - 1, 0, 0): 1})
     with pytest.raises(ExponentOverflowError):
         big * big
+
+
+def test_input_errors_are_one_class():
+    # exit 3 of the CLI is decided by this class alone; a context mismatch
+    # is a library contract that no input reaches, so it stays outside
+    assert venlab.InputError is InputError
+    assert issubclass(InputError, ValueError)
+    assert issubclass(ParseError, InputError)
+    assert issubclass(ExponentOverflowError, InputError)
+    assert issubclass(ExponentOverflowError, OverflowError)
+    assert not issubclass(ContextMismatchError, InputError)
+
+
+@pytest.mark.parametrize("text", ["elim: 1", "elim:+1", "elim:1 "])
+def test_monomial_order_parse_keeps_every_spelling_int_takes(text):
+    assert MonomialOrder.parse(text) == MonomialOrder("elim", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -773,9 +791,9 @@ def test_evaluate_matches_termwise_oracle():
 def test_evaluate_names_the_first_missing_variable_in_context_order():
     f = P("z^2 y + x")
     assert P("x y").evaluate({"x": 2, "y": Fraction(1, 2)}) == 1
-    with pytest.raises(KeyError, match="no value for variable 'y'"):
+    with pytest.raises(InputError, match="^no value for variable 'y'$"):
         f.evaluate({"x": 1})
-    with pytest.raises(KeyError, match="no value for variable 'x'"):
+    with pytest.raises(InputError, match="^no value for variable 'x'$"):
         f.evaluate({})
 
 
