@@ -14,8 +14,8 @@ Subalgebra membership f in R[g_1..g_m] uses tag-variable elimination:
 adjoin tags t_i with relations t_i - g_i (and x*x_inv - 1 when a variable
 is inverted), compute a block-elimination basis once per generator set,
 and inspect the normal form of each target f.  The normal form doubles as
-an explicit witness expressing f in the generators; it is re-checked by
-substitution unless it equals a certificate, a witness the caller proved.
+an explicit witness expressing f in the generators, re-checked by
+substitution.
 
 Every potentially explosive computation runs under a Budget; exhaustion
 raises BudgetExceededError (or surfaces as an 'undetermined' membership
@@ -436,11 +436,9 @@ class MembershipResult:
     status is 'member', 'nonmember' or 'undetermined' (budget ran out, or
     the witness failed its re-check).  For members, `witness` expresses f
     in the tag variables (one per generator), the coefficient-block
-    variables, and the inverted variable's reciprocal; it has already
-    passed `witness_identity_holds`, which keeps the expanded side of the
-    identity in `expansion`.  `certificate`, when a caller supplied one, is
-    (f, gens, expected witness) with the expected witness proved by the
-    caller to map to f; a witness equal to it needs no expansion.
+    variables, and the inverted variable's reciprocal; from
+    `subalgebra_members` it has already passed `witness_identity_holds`,
+    which keeps the expanded side of the identity in `expansion`.
     """
 
     status: str
@@ -450,9 +448,8 @@ class MembershipResult:
     invert: Optional[str] = None
     stats: Optional[GroebnerStats] = None
     detail: str = ""
-    # x^k * f expanded from the witness, set once witness_identity_holds confirmed it
+    # x^k * f, the expanded side of the witness identity once it is confirmed
     expansion: Optional[Polynomial] = field(default=None, repr=False, compare=False)
-    certificate: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.status == "member"
@@ -468,10 +465,7 @@ class MembershipResult:
         """Re-validate the witness: x^k * f == witness with tags replaced by
         the generators and x_inv^j by x^(k-j), where k is the top x_inv power.
 
-        A witness equal to the expected witness of a `certificate` issued
-        for this f and these gens holds by the caller's proof, and the
-        identity's expanded side is x^k * f itself.  Any other witness is
-        expanded by pure substitution in the original ring.
+        The witness is expanded by pure substitution in the original ring.
         """
         self.expansion = None
         if self.status != "member" or self.witness is None:
@@ -481,11 +475,6 @@ class MembershipResult:
         target = f
         if self.inv_name is not None:
             target = f * Polynomial.variable(f.ctx, self.invert) ** k
-        if self.certificate is not None:
-            cf, cgens, expected = self.certificate
-            if witness == expected and cf == f and cgens == tuple(gens):
-                self.expansion = target
-                return True
         # the coefficient block maps to itself: the expansion lands in f's context
         images = {n: Polynomial.variable(f.ctx, n) for n in f.ctx.coeff_block}
         images.update(zip(self.tag_names, gens))
@@ -539,8 +528,7 @@ def times_x(f: Polynomial, invert: str, k: int) -> Polynomial:
 
 
 def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial],
-                       invert: str = None, budget: Budget = DEFAULT_BUDGET,
-                       certificates: Sequence[Polynomial] = None):
+                       invert: str = None, budget: Budget = DEFAULT_BUDGET):
     """Decide each target in R[gens] (R = coefficient block, over Q); yield results.
 
     When `invert` names a coefficient-block variable x, membership is
@@ -549,14 +537,12 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
     elimination in the ring of `tag_ring`.  The basis depends on `gens` and
     `invert` only, so it is built once, when the first result is
     requested, and each target then costs one normal form and one re-check
-    of its witness by `witness_identity_holds`.  `certificates`, if given,
-    holds one expected witness per target in that ring, each proved by the
-    caller to map to its target under tags -> gens and x_inv -> 1/x; a
-    normal form equal to it is accepted without expansion, and any other is
-    expanded as usual.  Budget exhaustion yields status 'undetermined' (for
-    every target when the basis itself runs out), as does a witness that
-    fails its re-check; never a wrong boolean.  An `invert` outside the
-    coefficient block raises InputError.
+    of its witness by `witness_identity_holds`.  Budget exhaustion yields
+    status 'undetermined' (for every target when the basis itself runs
+    out), as does a witness that fails its re-check; never a wrong boolean.
+    When no variable is eliminated, every target is a member, and one whose
+    basis or normal form runs out of budget is its own witness.  An
+    `invert` outside the coefficient block raises InputError.
     """
     if not targets:
         return
@@ -577,18 +563,24 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
     try:
         # no relations: the zero ideal, and R[] = R
         gb = buchberger(relations or [Polynomial.zero(work_ctx)], order, budget)
+        stats, detail = gb.stats, ""
     except BudgetExceededError as exc:
-        for _ in targets:
-            yield MembershipResult("undetermined", detail=str(exc))
-        return
+        gb, stats, detail = None, None, str(exc)
 
     elim_set = set(work_ctx.names[:order.block_split])
-    for f, expected in zip(targets, certificates or [None] * len(targets), strict=True):
-        try:
-            nf = normal_form(f.rename_context(work_ctx), gb, budget)
-        except BudgetExceededError as exc:
-            yield MembershipResult("undetermined", detail=str(exc))
-            continue
+    for f in targets:
+        nf = None
+        if gb is not None:
+            try:
+                nf = normal_form(f.rename_context(work_ctx), gb, budget)
+            except BudgetExceededError as exc:
+                detail = str(exc)
+        if nf is None:
+            if elim_set:
+                yield MembershipResult("undetermined", detail=detail)
+                continue
+            # nothing is eliminated, so f is in R[gens] and its own witness
+            nf = f.rename_context(work_ctx)
         leaked = nf.variables_used() & elim_set
         status = "nonmember" if leaked else "member"
         result = MembershipResult(
@@ -597,14 +589,13 @@ def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial]
             tag_names=tags,
             inv_name=inv_name,
             invert=invert,
-            stats=gb.stats,
+            stats=stats,
             detail="" if status == "member" else
             "normal form still involves %s" % sorted(leaked),
-            certificate=None if expected is None else (f, tuple(gens), expected),
         )
         if status == "member" and not result.witness_identity_holds(f, gens):
             # a bad witness disproves nothing
-            result = MembershipResult("undetermined", stats=gb.stats,
+            result = MembershipResult("undetermined", stats=stats,
                                       detail="witness failed re-substitution")
         yield result
 

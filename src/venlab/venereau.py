@@ -11,9 +11,9 @@ Construction, over k[x][y,z,u]:
 With this w one has the exact identity  x^2 p = y w + v^2 + r x v + s x^2,
 which is what makes (h, v, w) a coordinate system of k[x]_x[y,z,u]; the
 checks below verify that identity's consequences algorithmically and
-produce explicit witnesses.  The identity also gives those witnesses in
-closed form, and a Groebner witness equal to that form is certified
-without re-expanding it (see `_chain_witnesses`).
+produce explicit witnesses.  The identity also gives the reduced Groebner
+basis of the localized check, and with it the witnesses, in closed form
+(see `_closed_form`); a spec whose identities fail runs Buchberger.
 
 Checks: residual coordinate at x = 0, localized coordinate system over
 k[x] with x inverted (Groebner subalgebra membership with witnesses),
@@ -265,21 +265,20 @@ def check_residual(spec: VenereauSpec) -> CheckReport:
 def check_localized(spec: VenereauSpec, budget: Budget = DEFAULT_BUDGET) -> CheckReport:
     """Pass iff y, z, u all lie in Q[x]_x[h, v, w], with re-validated witnesses.
 
-    When `spec.identities_hold`, each Groebner witness is matched
-    against its closed-form chain from `_chain_witnesses` and,
-    when equal, needs no expansion; otherwise (a corrupted spec, or a
-    witness that differs) it is re-checked by substitution.
+    When `_closed_form` applies, the witnesses are read off the reduced
+    basis it gives, and each target's stats name that basis; otherwise (a
+    corrupted spec, or relations past an input cap) `subalgebra_members`
+    runs Buchberger and re-checks each witness by substitution.
     """
     gens = [spec.h, spec.v, spec.w]
     names = ("y", "z", "u")
     targets = [Polynomial.variable(spec.ctx, name) for name in names]
-    witnesses = {}
-    stats = {}
-    data = {}
-    results = subalgebra_members(targets, gens, invert="x", budget=budget,
-                                 certificates=_chain_witnesses(spec))
+    witnesses, stats, data = {}, {}, {}
+    closed = _closed_form(spec, budget)
+    results = closed or subalgebra_members(targets, gens, invert="x", budget=budget)
     for name, result in zip(names, results):
-        stats[name] = _membership_stats(result)
+        stats[name] = ({"basis": "closed-form", "basis_size": 4} if closed
+                       else _membership_stats(result))
         if result.status != "member":
             verdict = "undetermined" if result.status == "undetermined" else "fail"
             return CheckReport("localized", verdict, witnesses=witnesses,
@@ -289,25 +288,32 @@ def check_localized(spec: VenereauSpec, budget: Budget = DEFAULT_BUDGET) -> Chec
     return CheckReport("localized", "pass", witnesses=witnesses, stats=stats, data=data)
 
 
-def _chain_witnesses(spec: VenereauSpec) -> Optional[list]:
-    """Closed-form witnesses of y, z, u in the tag ring, or None.
+def _closed_form(spec: VenereauSpec, budget: Budget = DEFAULT_BUDGET) -> Optional[list]:
+    """Member results of y, z, u read off the closed-form basis, or None.
 
-    None unless the four identities of `VenereauSpec.identities_hold`
-    hold on the spec itself; the spec tested them once, and this reads
-    its answer.  Then, with tags t0, t1, t2 for h, v, w, the chain
+    With tags t0, t1, t2 for h, v, w, the chain
 
         y_T = t0 - x Q(x, t1, t2)
         p_T = (y_T t2 + t1^2 + r x t1 + s x^2) x_inv^2
         z_T = (t1 - y_T p_T) x_inv
         u_T = (t2 + x (2 z_T + r) p_T + y_T p_T^2) x_inv^2
 
-    maps to y, p, z, u under t -> (h, v, w), x_inv -> 1/x, one identity
-    per step.  Each step is one sum of products, taken with x * x_inv
-    cancelled afterwards, the form of a normal form modulo x * x_inv - 1.
+    maps to y, p, z, u under t -> (h, v, w), x_inv -> 1/x, one identity of
+    `VenereauSpec.identities_hold` per step.  So when they hold, the tag-ring
+    ideal of `subalgebra_members` has the reduced basis {x x_inv - 1,
+    u - u_T, z - z_T, y - y_T} (coprime leads, each element in the ideal,
+    and a surjection of polynomial rings over Q[x^+-1] in three variables is
+    injective), and t_T is the witness of t, with expansion x^k t.  None
+    unless the identities hold (the spec tested them once) and the relations
+    pass Buchberger's input caps: each within `budget.max_degree`, and the
+    four basis elements within `budget.max_basis`.  Each chain step is one
+    sum of products with x * x_inv cancelled afterwards, as in a normal form.
     """
-    if not spec.identities_hold:
+    # the relations are t_i - g_i and x x_inv - 1
+    degree = max(2, spec.h.degree(), spec.v.degree(), spec.w.degree())
+    if not spec.identities_hold or degree > budget.max_degree or budget.max_basis < 4:
         return None
-    work_ctx, _, tags, _ = tag_ring(spec.ctx, 3, "x")
+    work_ctx, _, tags, inv_name = tag_ring(spec.ctx, 3, "x")
     t0, t1, t2 = (Polynomial.variable(work_ctx, t) for t in tags)
     X = Polynomial.variable(work_ctx, "x")
     r, s = spec.r.rename_context(work_ctx), spec.s.rename_context(work_ctx)
@@ -315,7 +321,10 @@ def _chain_witnesses(spec: VenereauSpec) -> Optional[list]:
     p_T = times_x(_sum_of_products(work_ctx, _p_rhs(1, X, y_T, t1, t2, r, s)), "x", -2)
     z_T = times_x(_sum_of_products(work_ctx, [(1, [(t1, 1)]), (-1, [(y_T, 1), (p_T, 1)])]), "x", -1)
     u_T = times_x(_sum_of_products(work_ctx, _u_rhs(1, X, y_T, z_T, p_T, t2, r)), "x", -2)
-    return [y_T, z_T, u_T]
+    x = Polynomial.variable(spec.ctx, "x")
+    return [MembershipResult("member", w, tags, inv_name, "x",
+                             expansion=Polynomial.variable(spec.ctx, t) * x ** w.degree(inv_name))
+            for t, w in zip("yzu", (y_T, z_T, u_T))]
 
 
 def _membership_stats(result: MembershipResult) -> dict:

@@ -460,9 +460,17 @@ def test_empty_generator_list(capsys, argv, code, witnesses):
      {"member": True, "witness": "x*y", "tags": {}, "validated": True}),
     (["--vars", "x", "--coeff-vars", "x", "--invert", "x", "--f", "x", "--gens", ""],
      {"member": True, "witness": "x", "tags": {}, "validated": True}),
-], ids=["one-generator", "no-generator", "inverted"])
+    (["--vars", "x", "--coeff-vars", "x", "--f", "1", "--gens", "1,1", "--budget-basis", "1"],
+     {"member": True, "witness": "1", "tags": {"_t0": "1", "_t1": "1"}, "validated": True}),
+    (["--vars", "x,y", "--coeff-vars", "x,y", "--f", "x y", "--gens", "x,y", "--budget-basis", "1"],
+     {"member": True, "witness": "x*y", "tags": {"_t0": "x", "_t1": "y"}, "validated": True}),
+    (["--vars", "x", "--coeff-vars", "x", "--f", "x^50", "--gens", "x"],
+     {"member": True, "witness": "x^50", "tags": {"_t0": "x"}, "validated": True}),
+], ids=["one-generator", "no-generator", "inverted", "basis-cap-constant", "basis-cap-product",
+        "degree-cap-normal-form"])
 def test_member_subalgebra_with_no_eliminated_variable(capsys, argv, witnesses):
-    # every variable is in the coefficient block, so f is in R[gens]
+    # every variable is in the coefficient block, so f is in R[gens], and f
+    # is its own witness where a cap runs out
     code, out, err = run(capsys, "--json", "member", "subalgebra", *argv)
     assert (code, err) == (0, "")
     (rec,) = json_lines(out)
@@ -779,6 +787,25 @@ def test_venereau_verify_budget_starved_bytes(capsys, mode, expected):
     code, out, _ = run(capsys, *([mode] if mode else []), *argv)
     assert code == 2
     assert out == expected
+
+
+#: Localized stats of v1 when its basis is taken in closed form.
+CLOSED_FORM_V1 = dict.fromkeys("uyz", {"basis": "closed-form", "basis_size": 4})
+
+
+@pytest.mark.parametrize("budget, exit_code, stats", [
+    (["--budget-degree", "5"], 0, CLOSED_FORM_V1),
+    (["--budget-basis", "4"], 0, CLOSED_FORM_V1),
+    (["--budget-basis", "12"], 0, CLOSED_FORM_V1),
+    (["--budget-basis", "3"], 2, {"detail": "basis size cap exceeded", "y": {}}),
+], ids=["degree-5", "basis-4", "basis-12", "basis-3"])
+def test_venereau_verify_closed_form_keeps_only_the_input_caps(capsys, budget, exit_code, stats):
+    # v1's relations fit a degree cap of 5 and its basis has 4 elements, so
+    # the caps that only Buchberger's own steps ran out of no longer apply
+    code, out, err = run(capsys, "--json", "venereau", "verify", "--family", "venereau",
+                         "--n", "1", *budget)
+    assert (code, err) == (exit_code, "")
+    assert json_lines(out)[1]["stats"] == stats
 
 
 def test_venereau_missing_q_usage_error(capsys):

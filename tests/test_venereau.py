@@ -16,7 +16,7 @@ from venlab.venereau import (
     MAIN_CONTEXT,
     Q_CONTEXT,
     VenereauSpec,
-    _chain_witnesses,
+    _closed_form,
     build,
     check_fibers,
     check_jacobian,
@@ -144,7 +144,8 @@ def test_localized_pass_with_witnesses():
 
 
 def test_localized_builds_one_basis(monkeypatch):
-    # y, z and u share the generators (h, v, w), hence one Groebner basis
+    # y, z and u share the generators (h, v, w), hence one Groebner basis: the
+    # closed form on an intact spec, one Buchberger run on a corrupted one
     calls = []
     real = groebner.buchberger
 
@@ -153,8 +154,13 @@ def test_localized_builds_one_basis(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", counting)
-    report = check_localized(family("venereau", 1))
+    spec = family("venereau", 1)
+    report = check_localized(spec)
     assert report.verdict == "pass"
+    assert calls == []
+    assert report.stats == dict.fromkeys(("y", "z", "u"), {"basis": "closed-form", "basis_size": 4})
+    # p is not a generator: the coordinate system is intact, the chain is not
+    assert check_localized(spec.corrupted(p=spec.p + M("x"))).verdict == "pass"
     assert len(calls) == 1
 
 
@@ -179,16 +185,22 @@ def test_localized_negative_control():
 
 
 def test_localized_budget_starvation_is_undetermined():
+    # an input past the degree cap, and Buchberger's own steps where the
+    # closed form does not apply
     spec = family("venereau", 1)
-    report = check_localized(spec, budget=Budget(max_reductions=10))
+    assert check_localized(spec, budget=Budget(max_degree=4)).verdict == "undetermined"
+    report = check_localized(spec.corrupted(p=spec.p + M("x")), budget=Budget(max_reductions=10))
     assert report.verdict == "undetermined"
+    assert report.stats["detail"] == "reduction step cap exceeded"
 
 
 def test_localized_failed_witness_is_undetermined(monkeypatch):
-    # a witness that fails its re-check disproves nothing
+    # a witness that fails its re-check disproves nothing; a corrupted p
+    # keeps the generators and takes the substitution path
     monkeypatch.setattr(groebner.MembershipResult, "witness_identity_holds",
                         lambda self, f, gens: False)
-    spec = family("venereau", 1)
+    v1 = family("venereau", 1)
+    spec = v1.corrupted(p=v1.p + M("x"))
     report = check_localized(spec)
     assert report.verdict == "undetermined"
     assert report.stats["detail"] == "witness failed re-substitution"
@@ -280,7 +292,7 @@ def test_fibers_decide_each_sample_point_once(monkeypatch):
 def test_fibers_propagate_undetermined():
     spec = family("venereau", 1)
     report = check_fibers(spec, samples=[(0, 0), (1, 0)],
-                          budget=Budget(max_reductions=10))
+                          budget=Budget(max_degree=4))
     assert report.verdict == "undetermined"
     assert report.witnesses["(0,0)"]["verdict"] == "pass"
     assert report.witnesses["(1,0)"]["verdict"] == "undetermined"
@@ -331,18 +343,25 @@ def test_run_checks_order_and_serialization():
 @pytest.mark.parametrize("checks", [("fibers", "localized"), ("fibers", "residual"),
                                     ("jacobian", "fibers", "residual", "localized"), ("fibers",)])
 def test_run_checks_shares_reports_whatever_the_order(monkeypatch, checks):
-    spec = family("venereau", 1)
-    default = {r.check: r.to_dict() for r in run_checks(spec)}
-    bases, residuals = [], []
-    real_basis, real_residual = groebner.buchberger, venereau.check_residual
-    monkeypatch.setattr(groebner, "buchberger",
-                        lambda *args, **kw: bases.append(1) or real_basis(*args, **kw))
-    monkeypatch.setattr(venereau, "check_residual",
-                        lambda s: residuals.append(1) or real_residual(s))
-    reports = run_checks(spec, checks)
-    assert [r.check for r in reports] == list(checks)
-    assert [r.to_dict() for r in reports] == [default[name] for name in checks]
-    assert len(bases) == 1 and len(residuals) == 1
+    # the intact spec takes the closed form, the corrupted one Buchberger
+    v1 = family("venereau", 1)
+    for spec, n_bases in ((v1, 0), (v1.corrupted(p=v1.p + M("x")), 1)):
+        default = {r.check: r.to_dict() for r in run_checks(spec)}
+        localized, bases, residuals = [], [], []
+        real_localized, real_residual = venereau.check_localized, venereau.check_residual
+        real_basis = groebner.buchberger
+        monkeypatch.setattr(venereau, "check_localized",
+                            lambda *args: localized.append(1) or real_localized(*args))
+        monkeypatch.setattr(groebner, "buchberger",
+                            lambda *args, **kw: bases.append(1) or real_basis(*args, **kw))
+        monkeypatch.setattr(venereau, "check_residual",
+                            lambda s: residuals.append(1) or real_residual(s))
+        reports = run_checks(spec, checks)
+        monkeypatch.undo()
+        assert [r.check for r in reports] == list(checks)
+        assert [r.to_dict() for r in reports] == [default[name] for name in checks]
+        assert len(localized) == 1 and len(residuals) == 1
+        assert len(bases) == n_bases
 
 
 def test_generic_instance_passes_everything():
@@ -378,10 +397,13 @@ def test_corrupted_takes_a_given_label():
 
 
 # ---------------------------------------------------------------------------
-# the closed-form chain as witness certificate
+# the closed-form chain and basis
 
 #: (r, s) of the daigle-freudenburg specs, n = 1.
 DF_PAIRS = (("1", "x"), ("2", "x"), ("x", "x"), ("2*x", "2"), ("x^2", "1"), ("x^2", "2"))
+
+#: (Q, Q2) of the lewis specs.
+LEWIS_PAIRS = (("V", "1"), ("V", "x"), ("V", "2"), ("2*V", "1"), ("2*V", "2"))
 
 #: Monomials of the seeded lewis shapes Q.
 LEWIS_MONOMIALS = ("1", "x", "V", "W", "x*V", "x*W", "V^2", "V*W", "W^2")
@@ -458,6 +480,27 @@ def test_normal_form_equals_the_closed_form_chain(monkeypatch, seed):
             assert _laurent_terms(result.witness) == chain[name], (spec.label, name)
 
 
+@pytest.mark.parametrize("seed", [3, 29])
+def test_buchberger_finds_the_closed_form_basis(seed):
+    """Oracle: on intact specs, Buchberger on the tag relations returns the
+    closed form {x x_inv - 1, u - u_T, z - z_T, y - y_T}, in that order."""
+    rng = random.Random(seed)
+    specs = [family("daigle-freudenburg", 1, r=r, s=s) for r, s in rng.sample(DF_PAIRS, 2)]
+    for q, q2 in rng.sample(LEWIS_PAIRS, 2):
+        specs.append(family("lewis", Q=q, Q2=q2))
+    specs.append(build(*CUSTOM_SPECS["stress"], label="stress"))
+    for spec in specs:
+        work_ctx, order, tags, inv_name = groebner.tag_ring(spec.ctx, 3, "x")
+        relations = [Polynomial.variable(work_ctx, t) - g.rename_context(work_ctx)
+                     for t, g in zip(tags, (spec.h, spec.v, spec.w))]
+        x_x_inv = Polynomial.variable(work_ctx, "x") * Polynomial.variable(work_ctx, inv_name)
+        gb = groebner.buchberger(relations + [x_x_inv - 1], order)
+        closed = [Polynomial.variable(work_ctx, t) - result.witness
+                  for t, result in zip("yzu", _closed_form(spec))]
+        assert gb.generators == (x_x_inv - 1,) + tuple(reversed(closed)), spec.label
+        assert gb.stats.basis_size == 4
+
+
 def _witness_substitutions(monkeypatch) -> list:
     """Collect every later Polynomial.substitute call made on a tag-ring polynomial."""
     calls = []
@@ -476,7 +519,7 @@ def test_corrupted_p_passes_through_the_fallback(monkeypatch):
     # p is not a generator: the coordinate system is intact, the chain is not
     spec = family("venereau", 1)
     bad = spec.corrupted(p=spec.p + M("x"))
-    assert _chain_witnesses(bad) is None
+    assert _closed_form(bad) is None
     calls = _witness_substitutions(monkeypatch)
     assert check_localized(bad).verdict == "pass"
     assert len(calls) == 3
@@ -489,34 +532,16 @@ def test_corrupted_p_passes_through_the_fallback(monkeypatch):
 def test_corrupted_generators_still_fail(overrides):
     spec = family("venereau", 1)
     bad = spec.corrupted(**overrides(spec))
-    assert _chain_witnesses(bad) is None
+    assert _closed_form(bad) is None
     assert check_localized(bad).verdict == "fail"
 
 
-def test_wrong_certificate_falls_back_to_substitution(monkeypatch):
-    spec = family("venereau", 1)
-    gens = [spec.h, spec.v, spec.w]
-    targets = [Polynomial.variable(MAIN_CONTEXT, name) for name in ("y", "z", "u")]
-    chain = _chain_witnesses(spec)
-    calls = _witness_substitutions(monkeypatch)
-    right = list(groebner.subalgebra_members(targets, gens, invert="x", certificates=chain))
-    assert [r.status for r in right] == ["member"] * 3
-    assert calls == []
-    # a certificate speaks only for its own target and generators
-    assert not right[0].witness_identity_holds(targets[1], gens)
-    assert len(calls) == 1
-    del calls[:]
-    wrong = [c + 1 for c in chain]
-    results = list(groebner.subalgebra_members(targets, gens, invert="x", certificates=wrong))
-    assert [r.status for r in results] == ["member"] * 3
-    assert [r.witness for r in results] == [r.witness for r in right]
-    assert len(calls) == 3
-
-
-#: sha256 of `venlab --json venereau verify` stdout, pinned from the re-checking code.
+#: sha256 of `venlab --json venereau verify` stdout from the closed form.  Apart
+#: from the localized stats, the bytes are those of Buchberger's basis with
+#: every witness re-checked by substitution.
 STRESS_STDOUT_SHA256 = {
-    "stress": "31976e06bc9bf5a3466706e921c63010bdd5f96c7a4f6737df12d0b5516a013c",
-    "stress-2": "5f53f69401ef82c7f546d11a852c3ccf29c23eff9a518180cb994cd61b756c78",
+    "stress": "83b455a2ad6c0506e2499012f477828cb58081dd1cb03d024bee861e2a919f11",
+    "stress-2": "672a3057b8c8b8dd63ca6dcb6826991566a9f09452bed64671df7fc5417fefcd",
 }
 
 
