@@ -4,11 +4,13 @@ The engine is deliberately simple: normal selection strategy (pairs by
 lcm degree, then by index), the coprime-leading-term and chain criteria,
 and full tail reduction to a unique reduced basis.  Internally all
 reductions are fraction-free over Z on content-normalized integer
-polynomials whose monomials are packed integer keys ordered like the
-monomial order, with each leading term taken from a heap; the published
-basis is monic over Q, keyed by exponent tuples.  Each queued S-pair
-carries its lcm, taken once from the packed leads, and the criteria test
-it against the packed leads inline.
+polynomials, with each leading term taken from a heap.  Both encodings
+come from `poly`: an input is read in the cleared form kept on the
+polynomial (integer numerators over one denominator), and its monomials
+are packed by the order keys `poly._Keys`, which also turn the integer
+results back into the published basis (monic over Q) and the normal
+form.  Each queued S-pair carries its lcm, taken once from the packed
+leads, and the criteria test it against the packed leads inline.
 
 Subalgebra membership f in R[g_1..g_m] uses tag-variable elimination:
 adjoin tags t_i with relations t_i - g_i (and x*x_inv - 1 when a variable
@@ -25,10 +27,9 @@ status), never a wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .poly import (
@@ -38,7 +39,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     VarContext,
-    clear_denominators,
+    _Keys,
 )
 
 TAG_PREFIX = "_t"
@@ -108,57 +109,10 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# packed monomial keys (after Monagan & Pearce, CASC 2007)
+# fraction-free integer core over packed keys (`poly._Keys`)
 #
-# Inside the engine a monomial is one int with a bit field per linear form
-# of the monomial order (`MonomialOrder.forms`), most significant first,
-# then a total-degree field and the raw exponents.  Every field is a
-# nonnegative sum of exponents, so integer order of keys is the monomial
-# order, adding two keys multiplies the monomials, and a divides b exactly
-# when b - a borrows into no guard bit (the lowest field that goes negative
-# sets its own guard bit).
-
-class _Keys:
-    """Packed keys for one order and arity, for monomials of degree <= bound.
-
-    Fields hold up to 2 * bound, so the product of two such monomials (a
-    reduction or S-polynomial term before its degree check) never carries
-    into the next field.
-    """
-
-    __slots__ = ("bound", "units", "shifts", "mask", "guard", "deg_shift", "deg_field")
-
-    def __init__(self, order: MonomialOrder, arity: int, bound: int):
-        width = (2 * bound).bit_length()
-        step = width + 1
-        forms = [{i} for i in range(arity)] + [set(range(arity))]
-        forms += reversed(order.forms(arity))
-        self.bound = bound
-        self.units = [sum(1 << (f * step) for f, form in enumerate(forms) if i in form)
-                      for i in range(arity)]
-        self.shifts = [i * step for i in range(arity)]
-        self.mask = (1 << width) - 1
-        self.guard = sum(1 << (f * step + width) for f in range(len(forms)))
-        self.deg_shift = arity * step
-        self.deg_field = self.mask << self.deg_shift
-
-    def pack(self, mono) -> int:
-        return sum(map(mul, mono, self.units))
-
-    def unpack(self, key: int) -> tuple:
-        mask = self.mask
-        return tuple([(key >> s) & mask for s in self.shifts])
-
-    def degree(self, key: int) -> int:
-        return (key >> self.deg_shift) & self.mask
-
-    def divides(self, a: int, b: int) -> bool:
-        return not (b - a) & self.guard
-
-    def rekey(self, terms, old: "_Keys") -> list:
-        """(key, coeff) pairs packed by `old`, packed again by these keys."""
-        return [(self.pack(old.unpack(k)), c) for k, c in terms]
-
+# A polynomial is a descending list of (key, int) pairs; a basis entry is
+# (lead_key, lead_coeff, tail) with the tail a descending list.
 
 def _rekeyed(entries: list, old: _Keys, order: MonomialOrder, bound: int) -> tuple:
     """(keys, entries): basis entries packed by `old`, packed again for degree <= bound."""
@@ -166,12 +120,6 @@ def _rekeyed(entries: list, old: _Keys, order: MonomialOrder, bound: int) -> tup
     return keys, [(keys.pack(old.unpack(lt)), lc, keys.rekey(tail, old))
                   for lt, lc, tail in entries]
 
-
-# ---------------------------------------------------------------------------
-# fraction-free integer core over packed keys
-#
-# A polynomial is a descending list of (key, int) pairs; a basis entry is
-# (lead_key, lead_coeff, tail) with the tail a descending list.
 
 def _normalize(terms: list) -> list:
     """Content-normalized, with a positive leading coefficient."""
@@ -291,20 +239,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
     basis = []      # (lead_key, lead_coeff, tail)
     pairs = []      # heap of (lcm degree, i, j)
     queued = []     # queued[j]: {i: exponent fields of the lcm} for each queued pair (i, j)
-
-    def fields(keys):
-        """(exponent fields, their guard bits, field width, a 1 in each field,
-        shift of the last field) of `keys`."""
-        low = (1 << keys.deg_shift) - 1
-        ones = sum(keys.units) & low
-        return low, keys.guard & low, keys.mask.bit_length(), ones, ones.bit_length() - 1
-
-    low, guard, width, ones, last = fields(keys)
     raws = []       # exponent fields of each lead
 
     def queue(j):
         """Queue every pair (i, j) with i < j, its lcm taken once."""
-        b, mask = raws[j], keys.mask
+        b, mask, guard = raws[j], keys.mask, keys.low_guard
+        width, ones, last = keys.width, keys.ones, keys.last
         lcms = {}
         for i in range(j):
             a = raws[i]
@@ -321,7 +261,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
         if not terms:
             return
         basis.append(_entry(terms))
-        raws.append(terms[0][0] & low)
+        raws.append(terms[0][0] & keys.low)
         if len(basis) > budget.max_basis:
             raise BudgetExceededError("basis size cap exceeded")
         queue(len(basis) - 1)
@@ -329,8 +269,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
     for g in gens:
         if g.degree() > budget.max_degree:
             raise BudgetExceededError("input generator exceeds degree cap")
-        work = clear_denominators(g.terms)[0]
-        add(zip(map(keys.pack, work), work.values()))
+        add(keys.encode(g)[0])
 
     while pairs:
         d, i, j = heappop(pairs)
@@ -341,6 +280,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
         # chain criterion: another lead divides the lcm, and neither of its
         # pairs with i and j is still queued
         skip = False
+        guard = keys.low_guard
         for k, rk in enumerate(raws):
             if (r - rk) & guard or k == i or k == j:
                 continue
@@ -362,17 +302,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
             old = keys
             keys, basis = _rekeyed(basis, old, order, max(top, 2 * keys.bound))
             s = dict(keys.rekey(s.items(), old))
-            low, guard, width, ones, last = fields(keys)
-            raws = [b[0] & low for b in basis]
+            raws = [b[0] & keys.low for b in basis]
             for lcms in queued:
                 for iq, rq in lcms.items():
-                    lcms[iq] = keys.pack(old.unpack(rq)) & low
+                    lcms[iq] = keys.pack(old.unpack(rq)) & keys.low
         add(s.items())
 
     basis = _interreduce(basis, keys, budget, stats)
-    polys = tuple(Polynomial(ctx, {keys.unpack(k): Fraction(c, lc)
-                                   for k, c in [(lead, lc)] + tail})
-                  for lead, lc, tail in basis)
+    polys = tuple(keys.decode(ctx, [(lead, lc)] + tail, lc) for lead, lc, tail in basis)
     stats.basis_size = len(polys)
     return GroebnerBasis(polys or (Polynomial.zero(ctx),), order, ctx, stats,
                          _keys=keys, _entries=basis)
@@ -411,14 +348,13 @@ def normal_form(f: Polynomial, gb: GroebnerBasis,
     """
     if f.ctx != gb.ctx:
         raise ContextMismatchError("polynomial and basis contexts differ")
-    work, den = clear_denominators(f.terms)
     keys, entries = gb._keys, gb._entries
     bound = max(budget.max_degree, f.degree())
     if bound > keys.bound:
         keys, entries = _rekeyed(entries, keys, gb.order, bound)
-    rem, scale = _reduce(zip(map(keys.pack, work), work.values()), entries, keys,
-                         budget, GroebnerStats())
-    return Polynomial(f.ctx, {keys.unpack(k): Fraction(c, scale * den) for k, c in rem})
+    work, den = keys.encode(f)
+    rem, scale = _reduce(work, entries, keys, budget, GroebnerStats())
+    return keys.decode(f.ctx, rem, scale * den)
 
 
 def ideal_member(f: Polynomial, gens: Sequence[Polynomial],

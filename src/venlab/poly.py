@@ -4,12 +4,16 @@ Coefficient contract: `Polynomial.terms` maps exponent tuples, one slot
 per variable of a `VarContext`, to nonzero `fractions.Fraction` values,
 so every operation is exact and canonical (gcd-reduced, positive
 denominator) by construction; `int` inputs are coerced on the way in.
-Integer coefficients and packed monomial keys exist only inside the
-product kernel (`_mul_into` and its helpers) and inside the Buchberger
-engine in `groebner`; both hand back one `Fraction` per output term.  On
-the kernel, `_sum_of_products` serves `*`, `**`, `matrix_det` and the
-exponential series, `_derive` applies derivations, and `_apply_images`
-serves substitution, `PolyMap` and `evaluate` by Horner's rule.
+This module owns both integer encodings.  Each polynomial keeps one
+cleared form, integer numerators over one denominator (`_cleared`), made
+on first use.  The product kernel (`_mul_into` and its helpers) packs a
+monomial with a bit field per variable; `_Keys`, the only order keys,
+packs the linear forms of a monomial order for `sorted_terms` and for
+the Buchberger engine in `groebner`.  Both hand back one `Fraction` per
+output term.  On the kernel, `_sum_of_products` serves `*`, `**`,
+`matrix_det` and the exponential series, `_derive` applies derivations,
+and `_apply_images` serves substitution, `PolyMap` and `evaluate` by
+Horner's rule.
 
 A context may designate a prefix of its variables as the coefficient
 block: those play the role of the base ring R in R[fiber variables] and
@@ -17,8 +21,8 @@ are treated as constants by derivations.
 
 All values are immutable after construction; operations return new
 objects and are safe to share between threads.  A polynomial fills its
-hash and its cleared integer form, which every product reads, on first use,
-and a context keeps each variable polynomial it is asked for.
+hash and its cleared form, which every product and Groebner input reads,
+on first use, and a context keeps each variable polynomial it is asked for.
 """
 
 from __future__ import annotations
@@ -130,12 +134,6 @@ class VarContext:
 # `_derive` (one product per partial derivative) and `_apply_images` (one
 # Horner scheme per substitution, sharing the powers of the images).
 
-def clear_denominators(terms: Mapping[tuple, Fraction]):
-    """(integer term dict, den) with den * terms equal to those integers."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
-
-
 def _max_exponents(terms: Iterable[tuple]) -> list:
     """Per-variable maximum exponent of `terms`; [] when there are none."""
     return list(map(max, zip(*terms)))
@@ -185,10 +183,6 @@ def _unpack(acc: dict, fields: list, den: int) -> dict:
 # ---------------------------------------------------------------------------
 # monomial orders
 
-#: (kind, block_split, arity, width) -> MonomialOrder.units, filled on first use.
-_SORT_UNITS = {}
-
-
 class MonomialOrder:
     """Total order on monomials, compatible with multiplication, 1 minimal.
 
@@ -201,9 +195,8 @@ class MonomialOrder:
         above all monomials free of them.
 
     The order is given once, by `forms`: linear forms whose values,
-    compared in turn, decide it.  Terms are sorted by one packed int per
-    monomial built from them (`units`), and the Buchberger engine's keys
-    in `groebner` build on the same forms.
+    compared in turn, decide it.  `_Keys` packs them into one int per
+    monomial, for sorting terms and for the Buchberger engine alike.
     """
 
     __slots__ = ("kind", "block_split")
@@ -236,24 +229,6 @@ class MonomialOrder:
             forms += [set(block) - {i} for i in reversed(block[1:])]
         return forms
 
-    def units(self, arity: int, width: int) -> tuple:
-        """Per-variable multipliers of the packed sort key.
-
-        The key of a monomial is sum(e_i * units[i]): one `width`-bit field
-        per form, the first form most significant.  When no form's value
-        needs more than `width` bits, as when width is the bit length of
-        the largest total degree, integer order of keys is this order.
-        """
-        cache_key = (self.kind, self.block_split, arity, width)
-        units = _SORT_UNITS.get(cache_key)
-        if units is None:
-            forms = self.forms(arity)
-            top = len(forms) - 1
-            units = _SORT_UNITS[cache_key] = tuple(
-                sum([1 << (width * (top - f)) for f, form in enumerate(forms) if i in form])
-                for i in range(arity))
-        return units
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonomialOrder)
@@ -283,6 +258,90 @@ class MonomialOrder:
 
 
 GREVLEX = MonomialOrder("grevlex")
+
+
+# ---------------------------------------------------------------------------
+# packed order keys (after Monagan & Pearce, "Sparse polynomial division
+# using a heap", J. Symbolic Comput., 2011)
+#
+# A monomial is one int with a bit field per linear form of the monomial
+# order (`MonomialOrder.forms`), most significant first, then a
+# total-degree field and the raw exponents.  Every field is a nonnegative
+# sum of exponents, so integer order of keys is the monomial order, adding
+# two keys multiplies the monomials, and a divides b exactly when b - a
+# borrows into no guard bit (the lowest field that goes negative sets its
+# own guard bit).  These are the only order keys: `sorted_terms` sorts by
+# them and the Buchberger engine in `groebner` computes on them.
+
+#: (order, arity, bit length of a degree bound) -> _Keys for that bound, filled on first use.
+_SORT_KEYS = {}
+
+
+class _Keys:
+    """Packed keys for one order and arity, for monomials of degree <= bound.
+
+    Fields hold up to 2 * bound, so the product of two such monomials (a
+    reduction or S-polynomial term before its degree check) never carries
+    into the next field.
+    """
+
+    __slots__ = ("bound", "units", "shifts", "width", "mask", "guard", "deg_shift", "deg_field",
+                 "low", "low_guard", "ones", "last")
+
+    def __init__(self, order: MonomialOrder, arity: int, bound: int):
+        width = (2 * bound).bit_length()
+        step = width + 1
+        forms = [{i} for i in range(arity)] + [set(range(arity))]
+        forms += reversed(order.forms(arity))
+        self.bound = bound
+        self.units = [sum(1 << (f * step) for f, form in enumerate(forms) if i in form)
+                      for i in range(arity)]
+        self.shifts = [i * step for i in range(arity)]
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.guard = sum(1 << (f * step + width) for f in range(len(forms)))
+        self.deg_shift = arity * step
+        self.deg_field = self.mask << self.deg_shift
+        # the raw exponent fields: their mask, guard bits, a 1 in each, the top one's shift
+        self.low = (1 << self.deg_shift) - 1
+        self.low_guard = self.guard & self.low
+        self.ones = sum([1 << s for s in self.shifts])
+        self.last = self.ones.bit_length() - 1
+
+    def pack(self, mono) -> int:
+        return sum(map(mul, mono, self.units))
+
+    def unpack(self, key: int) -> tuple:
+        mask = self.mask
+        return tuple([(key >> s) & mask for s in self.shifts])
+
+    def degree(self, key: int) -> int:
+        return (key >> self.deg_shift) & self.mask
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a) & self.guard
+
+    def rekey(self, terms, old: "_Keys") -> list:
+        """(key, coeff) pairs packed by `old`, packed again by these keys."""
+        return [(self.pack(old.unpack(k)), c) for k, c in terms]
+
+    def encode(self, f: "Polynomial") -> tuple:
+        """(iterator of packed (key, int) terms, den) of the cleared form kept on f."""
+        terms, den, _ = f._cleared or _cleared(f)
+        return zip(map(self.pack, terms), terms.values()), den
+
+    def decode(self, ctx: VarContext, terms, den: int) -> "Polynomial":
+        """The polynomial of packed (key, nonzero int) terms, each divided by den."""
+        return Polynomial._trusted(ctx, {self.unpack(k): Fraction(c, den) for k, c in terms})
+
+
+def _sort_keys(order: MonomialOrder, arity: int, degree: int) -> _Keys:
+    """The cached keys that sort every monomial of total degree <= degree."""
+    width = degree.bit_length()
+    keys = _SORT_KEYS.get((order, arity, width))
+    if keys is None:
+        keys = _SORT_KEYS[order, arity, width] = _Keys(order, arity, (1 << width) - 1)
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +454,7 @@ class Polynomial:
 
     def _sort_key(self, order: MonomialOrder):
         """Packed key of a (monomial, coefficient) pair of this polynomial under `order`."""
-        units = order.units(self.ctx.arity, max(map(sum, self.terms)).bit_length())
+        units = _sort_keys(order, self.ctx.arity, max(map(sum, self.terms))).units
         return lambda term: sum(map(mul, term[0], units))
 
     # -- arithmetic ---------------------------------------------------
@@ -467,8 +526,10 @@ class Polynomial:
         return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self) -> int:
+        """A constant, zero included, hashes as its scalar, to which it is equal."""
         if self._hash is None:
-            self._hash = hash((self.ctx, frozenset(self.terms.items())))
+            self._hash = hash(sum(self.terms.values()) if self.is_constant()
+                              else (self.ctx, frozenset(self.terms.items())))
         return self._hash
 
     # -- calculus and substitution ------------------------------------
@@ -611,7 +672,8 @@ def _horner(leaves: list, powers: list, depth: int = 0) -> dict:
 
 def _cleared(f: Polynomial) -> tuple:
     """(integer terms, den, top exponents) of f, made once and kept on f like its hash."""
-    terms, den = clear_denominators(f.terms)
+    den = lcm(*[c.denominator for c in f.terms.values()])
+    terms = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
     f._cleared = (terms, den, _max_exponents(terms))
     return f._cleared
 

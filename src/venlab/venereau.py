@@ -378,13 +378,14 @@ def check_fibers(spec: VenereauSpec, samples: Sequence[tuple] = FIBER_SAMPLES,
 
     c = 0: the fiber ring Q[y,z,u]/(h(0,y,z,u) - d) is a polynomial ring
     because h(0) = y, the residual identity; every such sample reports it.
-    c != 0: the fiber is the coordinate plane in (v, w); this is a
-    corollary of the localized identities x^k * t = E(x, h, v, w) for
-    t = y, z, u.  Each sample specialises the expansions E that the
-    localized check already compared at x = c and confirms E(c) = c^k * t,
-    once per distinct c, so no sample re-expands a witness.  An undetermined
-    localized check propagates to every c != 0 sample.  Reports not passed
-    in are computed.
+    c != 0: the fiber is the coordinate plane in (v, w), a corollary of
+    the localized identities x^k * t = E(x, h, v, w) for t = y, z, u.  A
+    sample specialises E at x = c, once per distinct c, but E is x^k * t
+    on both localized paths (the closed form sets it, and a witness keeps
+    it only once it equals x^k * t), so no sample can fail while
+    `localized` passes: it restates that verdict and adds no evidence.  An
+    undetermined localized check propagates to every c != 0 sample.
+    Reports not passed in are computed.
     """
     if localized is None:
         localized = check_localized(spec, budget)

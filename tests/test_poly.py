@@ -20,6 +20,7 @@ from venlab.poly import (
     PolyMap,
     Polynomial,
     VarContext,
+    _sort_keys,
     jacobian_det,
 )
 from venlab.parse import ParseError, format_polynomial, parse_polynomial
@@ -96,6 +97,17 @@ def test_partial_basic():
 def test_partial_unknown_variable():
     with pytest.raises(InputError, match="^unknown variable 'w' in context "):
         X.partial("w")
+
+
+@pytest.mark.parametrize("value", [0, 3, Fraction(-5, 2)])
+def test_constants_hash_like_the_scalars_they_equal(value):
+    # equal objects hash equal, so a constant finds its scalar's dict entry
+    # and a set holds the two as one element; the zero polynomial included
+    p = Polynomial.constant(CTX, value)
+    assert p == value and hash(p) == hash(value)
+    assert {value: "v"}.get(p) == "v"
+    assert len({p, value}) == 1
+    assert hash(Polynomial.zero(CTX)) == hash(0) and {0: "v"}.get(Polynomial.zero(CTX)) == "v"
 
 
 def test_zero_degree_sentinel():
@@ -232,17 +244,18 @@ def test_print_parse_round_trip(text, f):
 
 @pytest.mark.parametrize("text", ORDERS + ("elim:7",))
 def test_packed_sort_keys_follow_the_order_oracle(text):
-    """The packed key of `MonomialOrder.units` compares like the independent
-    comparison of helpers, and sorted_terms and leading_term follow it, at
-    arities 4-6 (so elim:7 eliminates every variable) and exponents to 2^40."""
+    """The packed key of the order keys that sorted_terms reads (`_sort_keys`)
+    compares like the independent comparison of helpers, and sorted_terms
+    and leading_term follow it, at arities 4-6 (so elim:7 eliminates every
+    variable) and exponents to 2^40."""
     rng = random.Random(text)
     order = MonomialOrder.parse(text)
     cmp = _order_cmp(text)
     for arity in (4, 5, 6):
         monos = list({tuple(rng.choice((0, 0, 1, 2, 5, 2**40)) for _ in range(arity))
                       for _ in range(50)})
-        units = order.units(arity, max(map(sum, monos)).bit_length())
-        key = {m: sum(e * u for e, u in zip(m, units)) for m in monos}
+        keys = _sort_keys(order, arity, max(map(sum, monos)))
+        key = {m: keys.pack(m) for m in monos}
         for a in monos:
             for b in monos:
                 assert (key[a] > key[b]) - (key[a] < key[b]) == cmp(a, b), (a, b)

@@ -3,10 +3,11 @@
 import hashlib
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from helpers import localized_chain
+from helpers import localized_chain, naive_product, naive_substitute, naive_sum
 from venlab import cli, groebner, venereau
 from venlab.groebner import Budget
 from venlab.parse import parse_polynomial
@@ -66,6 +67,36 @@ def test_lewis_q2_term():
     spec = family("lewis", Q="V", Q2="W")
     expected = M("y") + M("x^2") * spec.v + M("x^3") * spec.v * spec.w
     assert spec.h == expected
+
+
+def test_build_matches_the_naive_construction():
+    # build and identities_hold both run on the product kernel; here the
+    # construction is redone term by term on the Fraction oracle, over 20
+    # seeded (r, s, Q) of x-degree <= 2 whose Q uses both V and W
+    rng = random.Random(2026)
+
+    def coeff():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+
+    def in_x():
+        return {(e, 0, 0, 0): coeff() for e in range(3) if rng.random() < 0.5}
+
+    x, y, z, u = ({m: Fraction(1)} for m in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    for _ in range(20):
+        r, s = in_x(), in_x()
+        shapes = [(1, 0), (0, 1)] + rng.sample([(0, 0), (1, 1), (2, 0), (0, 2)], 2)
+        Q = Polynomial(Q_CONTEXT, {(rng.randint(0, 2),) + vw: coeff() for vw in shapes})
+        spec = build(Polynomial(MAIN_CONTEXT, r), Polynomial(MAIN_CONTEXT, s), Q)
+        lam = naive_sum((1, naive_product(z, z)), (1, naive_product(r, z)), (1, s))
+        p = naive_sum((1, naive_product(y, u)), (1, lam))
+        v = naive_sum((1, naive_product(x, z)), (1, naive_product(y, p)))
+        w = naive_sum((1, naive_product(naive_product(x, x), u)),
+                      (-1, naive_product(naive_product(x, naive_sum((2, z), (1, r))), p)),
+                      (-1, naive_product(y, naive_product(p, p))))
+        images = {n: Polynomial(MAIN_CONTEXT, t) for n, t in (("x", x), ("V", v), ("W", w))}
+        h = naive_sum((1, y), (1, naive_product(x, naive_substitute(Q, images))))
+        assert (spec.lam.terms, spec.p.terms, spec.v.terms, spec.w.terms, spec.h.terms) == \
+            (lam, p, v, w, h), (r, s, Q)
 
 
 def test_identity_underpins_every_family():
