@@ -2,14 +2,13 @@
 
 Given a locally nilpotent R-derivation D of R[x,y,z] (R a polynomial
 ring over Q, the coefficient block of the context) and a slice s with
-D(s) = 1, the Dixmier projection pi retracts the ring onto Ker D.  This
-module computes the projected generators pi(x), pi(y), pi(z), confirms
-B[s] = R[x,y,z] (B the kernel) by explicit subalgebra membership, and
-then tries to certify that the kernel is an R-polynomial ring in two of
-the projected generators, with a unit-Jacobian cross-check.
-
-The certification is an honest semi-decision: a miss reports
-'undetermined', never a wrong verdict.
+D(s) = 1, the Dixmier projection pi is an R-algebra retraction onto the
+kernel B, and f = sum_n pi(D^n f) s^n / n! for every f (the Slice
+Theorem).  This module computes pi(x), pi(y), pi(z), confirms
+B[s] = R[x,y,z] by witnesses read off that identity, and then tries to
+certify that B is an R-polynomial ring in two of the projected
+generators, with a unit-Jacobian cross-check: an honest semi-decision,
+where a miss reports 'undetermined', never a wrong verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .derivation import Derivation, _exp_series, check_slice
-from .groebner import Budget, DEFAULT_BUDGET, subalgebra_members
+from .groebner import Budget, DEFAULT_BUDGET, MembershipResult, subalgebra_members, tag_ring
 from .parse import format_polynomial
 from .poly import Polynomial, jacobian_matrix, matrix_det
 
@@ -31,7 +30,7 @@ class SliceKernelResult:
     derivation: Derivation
     slice: Polynomial
     kernel_generators: dict            # fiber variable name -> pi(variable)
-    generation_verdict: str            # B[s] = R[x,y,z]: 'pass'|'fail'|'undetermined'
+    generation_verdict: str            # B[s] = R[x,y,z]: 'pass' once kernel_from_slice returns
     generation_witnesses: dict = field(default_factory=dict)
     two_generator_subset: Optional[tuple] = None   # (name_i, name_j)
     pair_verdict: str = "not-run"      # 'pass' | 'undetermined' | 'not-run'
@@ -60,41 +59,37 @@ class SliceKernelResult:
 def kernel_from_slice(D: Derivation, s, budget: Budget = DEFAULT_BUDGET) -> SliceKernelResult:
     """Project the fiber variables onto Ker D and verify B[s] = R[x,y,z].
 
-    Checks D(s) = 1, then D's certificate under `budget`, once each;
+    Checks D(s) = 1, then D's certificate under `budget`, once each, and
     projects each fiber variable by the Dixmier series, re-checked to be
-    killed by D; and expresses each fiber variable in {projected generators,
-    s} by subalgebra membership over R, the content of B[s] = R[x,y,z].
+    killed by D.  Since pi(D^n t) is D^n t at the projected generators, the
+    Slice Theorem writes each fiber variable t as the series over its
+    certified iterates with tags (`tag_ring`) for pi(x), pi(y), pi(z), s:
+    no Groebner basis.  A projection outside Ker D, or a witness failing
+    `MembershipResult.witness_identity_holds`, raises AssertionError.
     """
     check_slice(D, s)
-    projected = {name: _exp_series(-s, chain)
-                 for name, chain in D._require_certificate(budget).iterates.items()}
+    chains = D._require_certificate(budget).iterates
+    projected = {name: _exp_series(-s, chain) for name, chain in chains.items()}
     for name, pi_g in projected.items():
         if not D(pi_g).is_zero():
             raise AssertionError("projection of %s left the kernel" % name)
 
     gens = list(projected.values()) + [s]
-    gen_labels = ["pi(%s)" % n for n in projected] + ["s"]
-    verdict = "pass"
+    work_ctx, _, tags, _ = tag_ring(D.ctx, len(gens))
+    labels = dict(zip(tags, ["pi(%s)" % n for n in projected] + ["s"]))
+    tag_of = {name: Polynomial.variable(work_ctx, tag) for name, tag in zip(projected, tags)}
+    s_tag = Polynomial.variable(work_ctx, tags[-1])
     witnesses = {}
-    targets = [Polynomial.variable(D.ctx, name) for name in projected]
-    results = subalgebra_members(targets, gens, budget=budget)
-    for name, result in zip(projected, results):
-        if result.status == "undetermined":
-            verdict = "undetermined"
-            witnesses[name] = {"status": "undetermined", "detail": result.detail}
-            continue
-        if not result:
-            verdict = "fail"
-            witnesses[name] = {"status": result.status}
-            continue
-        witnesses[name] = {
-            "status": "member",
-            "expression": format_polynomial(result.witness),
-            "tags": dict(zip(result.tag_names, gen_labels)),
-        }
+    for name, chain in chains.items():
+        witness = _exp_series(s_tag, [g.substitute(tag_of) for g in chain])
+        if not MembershipResult("member", witness, tags).witness_identity_holds(
+                Polynomial.variable(D.ctx, name), gens):
+            raise AssertionError("witness of %s failed re-substitution" % name)
+        witnesses[name] = {"status": "member", "expression": format_polynomial(witness),
+                           "tags": dict(labels)}
     return SliceKernelResult(
         derivation=D, slice=s, kernel_generators=projected,
-        generation_verdict=verdict, generation_witnesses=witnesses)
+        generation_verdict="pass", generation_witnesses=witnesses)
 
 
 def certify_polynomial_ring(result: SliceKernelResult,

@@ -153,7 +153,7 @@ def build(r, s, Q, label: str = "") -> VenereauSpec:
     if isinstance(Q, str):
         Q = parse_polynomial(Q, Q_CONTEXT)
     if Q.ctx != Q_CONTEXT:
-        raise ValueError("Q must live in the (x, V, W) placeholder context")
+        raise InputError("Q must live in the (x, V, W) placeholder context")
 
     ctx = MAIN_CONTEXT
     x = Polynomial.variable(ctx, "x")

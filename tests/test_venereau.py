@@ -11,7 +11,7 @@ from helpers import localized_chain, naive_product, naive_substitute, naive_sum
 from venlab import cli, groebner, venereau
 from venlab.groebner import Budget
 from venlab.parse import parse_polynomial
-from venlab.poly import Polynomial, VarContext
+from venlab.poly import InputError, Polynomial, VarContext
 from venlab.venereau import (
     FAMILY_NAMES,
     MAIN_CONTEXT,
@@ -117,6 +117,12 @@ def test_family_validation():
         family("lewis")  # needs Q
     with pytest.raises(ValueError):
         build("y", 0, "V")  # r must be univariate in x
+
+
+def test_build_rejects_q_outside_the_placeholder_context_as_input():
+    # the one type for rejected input, like the r/s check before it
+    with pytest.raises(InputError, match=r"^Q must live in the \(x, V, W\) placeholder context$"):
+        build(0, 0, Polynomial.variable(MAIN_CONTEXT, "x"))
 
 
 @pytest.mark.parametrize("name, option, value", [
