@@ -98,7 +98,7 @@ class Derivation:
         if f.ctx != self.ctx:
             raise ContextMismatchError("polynomial is not in the derivation's context")
         index = self.ctx.index
-        return _derive(f, [(index(name), g) for name, g in self.images.items() if g.terms])
+        return _derive(f, [(index(name), g) for name, g in self.images.items() if not g.is_zero()])
 
     def power(self, f: Polynomial, r: int) -> Polynomial:
         """D^r(f)."""

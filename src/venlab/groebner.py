@@ -453,14 +453,14 @@ def times_x(f: Polynomial, invert: str, k: int) -> Polynomial:
     """f * x^k for the inverted variable x = `invert` of f's tag ring, with
     every x * x_inv cancelled; k may have either sign."""
     xi, ii = f.ctx.index(invert), f.ctx.index(INV_PREFIX + invert)
-    terms = {}
-    for mono, c in f.terms.items():
+    nums = {}
+    for mono, c in f.nums.items():
         e = mono[xi] - mono[ii] + k
         m = list(mono)
         m[xi], m[ii] = max(e, 0), max(-e, 0)
         m = tuple(m)
-        terms[m] = terms.get(m, 0) + c
-    return Polynomial(f.ctx, terms)
+        nums[m] = nums.get(m, 0) + c
+    return Polynomial._reduced(f.ctx, {m: c for m, c in nums.items() if c}, f.den)
 
 
 def subalgebra_members(targets: Sequence[Polynomial], gens: Sequence[Polynomial],

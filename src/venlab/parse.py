@@ -20,17 +20,18 @@ namespace belongs to internally generated variables (shift variables,
 membership tags, inverted copies).  So are exponents above
 ``EXPONENT_LIMIT`` and parentheses nested deeper than ``MAX_NESTING``.
 
-The printer sorts terms by one packed integer key each
-(`Polynomial.sorted_terms`).  The CLI lifts CPython's limit on converting
-integers of more than 4300 digits for each call; library callers keep the
-interpreter's limit.
+The parser builds the integer state of a polynomial directly; the
+printer sorts its terms by one packed integer key each
+(`Polynomial.sorted_terms`) and reduces each `n/den` by one gcd.  The CLI
+lifts CPython's limit on converting integers of more than 4300 digits for
+each call; library callers keep the interpreter's limit.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 from operator import add, mul
 
 from .poly import (
@@ -42,7 +43,6 @@ from .poly import (
     Polynomial,
     VarContext,
     _fields,
-    _max_exponents,
 )
 
 #: Deepest parenthesis nesting accepted.  Each level costs three frames
@@ -103,31 +103,33 @@ class _Parser:
 
     # expr := ['-'] term (('+'|'-') term)*
     def expr(self) -> Polynomial:
-        terms = {}
         tokens = self.tokens
         sign = 1
         if tokens[self.i][1] == "-":
             self.i += 1
             sign = -1
-        self.term(terms, sign)
+        terms = [self.term(sign)]
         while tokens[self.i][1] in ("+", "-"):
             self.i += 1
-            self.term(terms, -1 if tokens[self.i - 1][1] == "-" else 1)
-        return Polynomial._trusted(self.ctx, {m: c for m, c in terms.items() if c})
+            terms.append(self.term(-1 if tokens[self.i - 1][1] == "-" else 1))
+        den, nums = lcm(*[d for _, d in terms]), {}
+        for items, d in terms:
+            for m, c in items:
+                nums[m] = nums.get(m, 0) + c * (den // d)
+        return Polynomial._reduced(self.ctx, {m: c for m, c in nums.items() if c}, den)
 
     # term := (flat | '(' expr ')') ('*'? (flat | '(' expr ')'))*
-    def term(self, out: dict, sign: int) -> None:
-        """Add sign * (the next term) into the monomial-keyed dict `out`.
+    def term(self, sign: int) -> tuple:
+        """sign * (the next term) as ([(monomial, int), ...], den).
 
         The term is num/den * x^exps * groups.  One `finditer` reads each
         flat product factor by factor, with the checks in the order they
         would run on separate factors: coefficients multiply as ints and
-        powers of variables add up, the term makes one `Fraction`, and only
-        parenthesised groups are multiplied as polynomials, once every
-        factor is read.  `base` sums the top exponents of the groups; while
-        the term is nonzero, going above EXPONENT_LIMIT in exps + base
-        raises the error that `*` raises, and a zero factor ends the
-        checks, as it does there.
+        powers of variables add up, and only parenthesised groups are
+        multiplied as polynomials, once every factor is read.  `base` sums
+        the top exponents of the groups; while the term is nonzero, going
+        above EXPONENT_LIMIT in exps + base raises the error that `*`
+        raises, and a zero factor ends the checks, as it does there.
         """
         tokens = self.tokens
         index = self.ctx._index
@@ -166,8 +168,8 @@ class _Parser:
                     self.dangling(name, d, e)
             elif val == "(":
                 g = self.group()
-                if num and g.terms:
-                    base = list(map(add, base, _max_exponents(g.terms)))
+                if num and g.nums:
+                    base = list(map(add, base, g._tops()))
                     groups.append(g)
                     top = list(map(add, exps, base))
                     if max(top, default=0) > EXPONENT_LIMIT:
@@ -182,15 +184,11 @@ class _Parser:
             elif kind != "flat" and val != "(":
                 break
         if not num:
-            return
-        coeff = Fraction(num) if den == 1 else Fraction(num, den)
+            return [], 1
         if not groups:
-            m = tuple(exps)
-            out[m] = out[m] + coeff if m in out else coeff
-            return
-        for m, c in reduce(mul, groups).terms.items():
-            m = tuple(map(add, m, exps))
-            out[m] = out[m] + coeff * c if m in out else coeff * c
+            return [(tuple(exps), num)], den
+        g = reduce(mul, groups)
+        return [(tuple(map(add, m, exps)), num * c) for m, c in g.nums.items()], den * g.den
 
     def dangling(self, name, d, e) -> None:
         """Raise on a '/' or '^' after a flat product that its last factor would take.
@@ -248,7 +246,8 @@ def format_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
     names = f.ctx.names
     powers = {}
     parts = []
-    for mono, coeff in f.sorted_terms(order):
+    den = f.den
+    for mono, n in f.sorted_terms(order):
         factors = []
         for name, e in zip(names, mono):
             if e == 1:
@@ -259,7 +258,8 @@ def format_polynomial(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
                     text = powers[name, e] = "%s^%d" % (name, e)
                 factors.append(text)
         body = "*".join(factors)
-        n, d = coeff.numerator, coeff.denominator
+        g = gcd(n, den)
+        n, d = n // g, den // g
         mag = -n if n < 0 else n
         if d != 1:
             body = "%d/%d*%s" % (mag, d, body) if body else "%d/%d" % (mag, d)

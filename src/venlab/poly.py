@@ -1,16 +1,18 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Coefficient contract: `Polynomial.terms` maps exponent tuples, one slot
-per variable of a `VarContext`, to nonzero `fractions.Fraction` values,
-so every operation is exact and canonical (gcd-reduced, positive
-denominator) by construction; `int` inputs are coerced on the way in.
-This module owns both integer encodings.  Each polynomial keeps one
-cleared form, integer numerators over one denominator (`_cleared`), made
-on first use.  The product kernel (`_mul_into` and its helpers) packs a
-monomial with a bit field per variable; `_Keys`, the only order keys,
-packs the linear forms of a monomial order for `sorted_terms` and for
-the Buchberger engine in `groebner`.  Both hand back one `Fraction` per
-output term.  On the kernel, `_sum_of_products` serves `*`, `**`,
+Coefficient contract: a `Polynomial` holds integer numerators `nums`
+(exponent tuple, one slot per variable of a `VarContext`, to a nonzero
+int) over one denominator `den > 0` with gcd(den, every numerator) == 1,
+so equal polynomials have equal state.  `int` and `Fraction` inputs are
+cleared on the way in, and every closed operation divides its integer
+result by one content gcd.  `terms`, a read-only view with one `Fraction`
+per term, is built on first read, for callers at the edges.
+
+This module owns both integer encodings.  The product kernel
+(`_mul_into` and its helpers) packs a monomial with a bit field per
+variable; `_Keys`, the only order keys, packs the linear forms of a
+monomial order for `sorted_terms` and for the Buchberger engine in
+`groebner`.  On the kernel, `_sum_of_products` serves `*`, `**`,
 `matrix_det` and the exponential series, `_derive` applies derivations,
 and `_apply_images` serves substitution, `PolyMap` and `evaluate` by
 Horner's rule.
@@ -21,16 +23,17 @@ are treated as constants by derivations.
 
 All values are immutable after construction; operations return new
 objects and are safe to share between threads.  A polynomial fills its
-hash and its cleared form, which every product and Groebner input reads,
-on first use, and a context keeps each variable polynomial it is asked for.
+hash, its top exponents and its `terms` view on first use, and a context
+keeps each variable polynomial it is asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 from operator import add, lshift, mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 #: Degree of the zero polynomial.
@@ -125,11 +128,11 @@ class VarContext:
 # integer product kernel (packed exponent vectors, after Monagan & Pearce,
 # CASC 2007)
 #
-# Each operand is cleared once to integer numerators over one denominator,
-# kept on the polynomial (`_cleared`), and each monomial is packed into one
-# int with a bit field per variable.  Field widths come from bounds on the
-# exponents of the result, so adding two packed keys multiplies the
-# monomials and never carries into the next field.  Three routines
+# Each operand is read in its state, integer numerators over one
+# denominator, and each monomial is packed into one int with a bit field
+# per variable.  Field widths come from bounds on the exponents of the
+# result, so adding two packed keys multiplies the monomials and never
+# carries into the next field.  Three routines
 # accumulate on top of it: `_sum_of_products` (one product per item),
 # `_derive` (one product per partial derivative) and `_apply_images` (one
 # Horner scheme per substitution, sharing the powers of the images).
@@ -174,10 +177,10 @@ def _mul_into(acc: dict, a: list, b: list, scale: int) -> dict:
     return acc
 
 
-def _unpack(acc: dict, fields: list, den: int) -> dict:
-    """Monomial-keyed dict of the nonzero entries of acc, each divided by den."""
-    return {tuple([(k >> s) & mask for s, mask in fields]): Fraction(c, den)
-            for k, c in acc.items() if c}
+def _unpack(ctx: VarContext, acc: dict, fields: list, den: int) -> "Polynomial":
+    """The polynomial of the nonzero entries of acc, each divided by den."""
+    return Polynomial._reduced(ctx, {tuple([(k >> s) & mask for s, mask in fields]): c
+                                     for k, c in acc.items() if c}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +329,12 @@ class _Keys:
         return [(self.pack(old.unpack(k)), c) for k, c in terms]
 
     def encode(self, f: "Polynomial") -> tuple:
-        """(iterator of packed (key, int) terms, den) of the cleared form kept on f."""
-        terms, den, _ = f._cleared or _cleared(f)
-        return zip(map(self.pack, terms), terms.values()), den
+        """(iterator of packed (key, int) terms, den) of f's state."""
+        return zip(map(self.pack, f.nums), f.nums.values()), f.den
 
     def decode(self, ctx: VarContext, terms, den: int) -> "Polynomial":
-        """The polynomial of packed (key, nonzero int) terms, each divided by den."""
-        return Polynomial._trusted(ctx, {self.unpack(k): Fraction(c, den) for k, c in terms})
+        """The polynomial of packed (key, nonzero int) terms, each divided by den > 0."""
+        return Polynomial._reduced(ctx, {self.unpack(k): c for k, c in terms}, den)
 
 
 def _sort_keys(order: MonomialOrder, arity: int, degree: int) -> _Keys:
@@ -347,46 +349,43 @@ def _sort_keys(order: MonomialOrder, arity: int, degree: int) -> _Keys:
 # ---------------------------------------------------------------------------
 # polynomials
 
-def _coerce(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError("coefficients must be int or Fraction, got %r" % type(c).__name__)
-
-
 class Polynomial:
-    """Immutable sparse polynomial over Q in a fixed VarContext."""
+    """Immutable sparse polynomial over Q in a fixed VarContext: `nums` over `den`."""
 
-    __slots__ = ("ctx", "terms", "_hash", "_cleared")
+    __slots__ = ("ctx", "nums", "den", "_top", "_hash", "_terms")
 
     def __init__(self, ctx: VarContext, terms: Mapping[tuple, Scalar]):
         clean = {}
-        arity = ctx.arity
         for mono, coeff in terms.items():
-            coeff = _coerce(coeff)
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError("coefficients must be int or Fraction, got %r"
+                                % type(coeff).__name__)
             if coeff == 0:
                 continue
-            if len(mono) != arity:
-                raise ValueError("monomial %r does not match arity %d" % (mono, arity))
+            if len(mono) != ctx.arity:
+                raise ValueError("monomial %r does not match arity %d" % (mono, ctx.arity))
             for e in mono:
                 if e < 0 or e > EXPONENT_LIMIT:
                     raise ExponentOverflowError("bad exponent %r" % (e,))
             clean[mono] = coeff
+        den = lcm(*[c.denominator for c in clean.values()])
         self.ctx = ctx
-        self.terms = clean
-        self._hash = None
-        self._cleared = None
+        self.nums = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        self.den = den
+        self._top = self._hash = self._terms = None
 
     @classmethod
-    def _trusted(cls, ctx: VarContext, terms: dict) -> "Polynomial":
-        """Wrap `terms` without validation: nonzero Fractions keyed by
-        exponent tuples of ctx's arity, as closed operations produce."""
+    def _reduced(cls, ctx: VarContext, nums: dict, den: int) -> "Polynomial":
+        """nums / den (nonzero int values, den > 0), divided by their content gcd,
+        without validation, as closed operations produce."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: c // g for m, c in nums.items()}
         self = object.__new__(cls)
-        self.ctx = ctx
-        self.terms = terms
-        self._hash = None
-        self._cleared = None
+        self.ctx, self.nums, self.den = ctx, nums, den
+        self._top = self._hash = self._terms = None
         return self
 
     # -- constructors -------------------------------------------------
@@ -414,47 +413,58 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """Exponent tuple -> nonzero Fraction: a read-only view, built on first read."""
+        if self._terms is None:
+            self._terms = MappingProxyType({m: Fraction(c, self.den) for m, c in self.nums.items()})
+        return self._terms
+
+    def _tops(self) -> list:
+        """Per-variable top exponents ([] for zero), made on first use and kept."""
+        if self._top is None:
+            self._top = _max_exponents(self.nums)
+        return self._top
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return all(sum(m) == 0 for m in self.nums)
 
     def degree(self, var: str = None):
         """Total degree, or degree in one variable; -inf for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return NEG_INFINITY
         if var is None:
-            return max(map(sum, self.terms))
-        i = self.ctx.index(var)
-        return max(m[i] for m in self.terms)
+            return max(map(sum, self.nums))
+        return self._tops()[self.ctx.index(var)]
 
     def variables_used(self) -> set:
-        used = set()
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used.add(self.ctx.names[i])
-        return used
+        return {n for n, e in zip(self.ctx.names, self._tops()) if e}
 
     def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple:
         """(monomial, coefficient) of the maximal term under `order`."""
-        if not self.terms:
+        if not self.nums:
             raise ValueError("the zero polynomial has no leading term")
-        return max(self.terms.items(), key=self._sort_key(order))
+        mono, c = max(self.nums.items(), key=self._sort_key(order))
+        return mono, Fraction(c, self.den)
 
     def coefficient(self, mono: tuple) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return Fraction(self.nums.get(mono, 0), self.den)
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list:
-        """Terms as (monomial, coefficient), descending in `order`."""
-        if len(self.terms) < 2:
-            return list(self.terms.items())
-        return sorted(self.terms.items(), key=self._sort_key(order), reverse=True)
+        """Terms as (monomial, numerator over `den`), descending in `order`."""
+        if len(self.nums) < 2:
+            return list(self.nums.items())
+        return sorted(self.nums.items(), key=self._sort_key(order), reverse=True)
 
     def _sort_key(self, order: MonomialOrder):
-        """Packed key of a (monomial, coefficient) pair of this polynomial under `order`."""
-        units = _sort_keys(order, self.ctx.arity, max(map(sum, self.terms))).units
+        """Packed key of a (monomial, coefficient) pair of this polynomial under
+        `order`: the cached `_Keys` units shifted past the exponent and degree
+        fields, so that only the fields of `MonomialOrder.forms` remain."""
+        keys = _sort_keys(order, self.ctx.arity, max(map(sum, self.nums)))
+        units = [u >> (keys.deg_shift + keys.width + 1) for u in keys.units]
         return lambda term: sum(map(mul, term[0], units))
 
     # -- arithmetic ---------------------------------------------------
@@ -470,24 +480,24 @@ class Polynomial:
         elif not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, 0) + c
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = dict(self.nums) if a == 1 else {m: c * a for m, c in self.nums.items()}
+        for mono, c in other.nums.items():
+            s = nums.get(mono, 0) + c * b
             if s:
-                terms[mono] = s
+                nums[mono] = s
             else:
-                terms.pop(mono, None)
-        return Polynomial._trusted(self.ctx, terms)
+                nums.pop(mono, None)
+        return Polynomial._reduced(self.ctx, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._trusted(self.ctx, {m: -c for m, c in self.terms.items()})
+        return Polynomial._reduced(self.ctx, {m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ctx, other)
-        elif not isinstance(other, Polynomial):
+        if not isinstance(other, (int, Fraction, Polynomial)):
             return NotImplemented
         return self + (-other)
 
@@ -496,10 +506,11 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if c == 0:
+            if not other:
                 return Polynomial.zero(self.ctx)
-            return Polynomial._trusted(self.ctx, {m: cc * c for m, cc in self.terms.items()})
+            n = other.numerator
+            return Polynomial._reduced(self.ctx, {m: c * n for m, c in self.nums.items()},
+                                       self.den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
@@ -509,7 +520,7 @@ class Polynomial:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _coerce(other))
+            return self * (Fraction(1) / other)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -523,13 +534,13 @@ class Polynomial:
             other = Polynomial.constant(self.ctx, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.den == other.den and self.ctx == other.ctx and self.nums == other.nums
 
     def __hash__(self) -> int:
         """A constant, zero included, hashes as its scalar, to which it is equal."""
         if self._hash is None:
-            self._hash = hash(sum(self.terms.values()) if self.is_constant()
-                              else (self.ctx, frozenset(self.terms.items())))
+            self._hash = hash(Fraction(sum(self.nums.values()), self.den) if self.is_constant()
+                              else (self.ctx, self.den, frozenset(self.nums.items())))
         return self._hash
 
     # -- calculus and substitution ------------------------------------
@@ -537,9 +548,9 @@ class Polynomial:
     def partial(self, var: str) -> "Polynomial":
         """Formal partial derivative with respect to `var`."""
         i = self.ctx.index(var)
-        return Polynomial._trusted(self.ctx, {
+        return Polynomial._reduced(self.ctx, {
             mono[:i] + (mono[i] - 1,) + mono[i + 1:]: c * mono[i]
-            for mono, c in self.terms.items() if mono[i]})
+            for mono, c in self.nums.items() if mono[i]}, self.den)
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Ring-homomorphism image; unmentioned variables map to themselves.
@@ -557,7 +568,7 @@ class Polynomial:
         if target is None:
             target = self.ctx
         full = [images[n] if n in images else Polynomial.variable(target, n) if e else None
-                for n, e in zip(self.ctx.names, _max_exponents(self.terms))]
+                for n, e in zip(self.ctx.names, self._tops())]
         return _apply_images(self, full, target)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
@@ -572,8 +583,8 @@ class Polynomial:
     def rename_context(self, new_ctx: VarContext) -> "Polynomial":
         """The same polynomial viewed in a context containing all used variables."""
         perm = [new_ctx.index(n) if n in new_ctx else None for n in self.ctx.names]
-        terms = {}
-        for mono, c in self.terms.items():
+        nums = {}
+        for mono, c in self.nums.items():
             out = [0] * new_ctx.arity
             for i, e in enumerate(mono):
                 if e:
@@ -582,8 +593,8 @@ class Polynomial:
                             "variable %r is used but missing from the new context"
                             % self.ctx.names[i])
                     out[perm[i]] = e
-            terms[tuple(out)] = c
-        return Polynomial._trusted(new_ctx, terms)
+            nums[tuple(out)] = c
+        return Polynomial._reduced(new_ctx, nums, self.den)
 
     # -- printing -----------------------------------------------------
 
@@ -600,7 +611,7 @@ def _apply_images(f: Polynomial, images: list, target: VarContext) -> Polynomial
 
     The multivariate Horner scheme (Peña & Sauer, SIAM J. Numer. Anal.
     2000) over packed integer terms.  Each used image is read in its
-    cleared form G_i / d_i.  A one-term image scales each term's
+    state G_i / d_i.  A one-term image scales each term's
     coefficient and shifts its key at the leaves; the others ("wide") are
     the Horner variables, outermost the one with the largest exponent sum
     over f.  Over the one denominator den_f * prod d_i^E_i (E_i the top
@@ -608,17 +619,17 @@ def _apply_images(f: Polynomial, images: list, target: VarContext) -> Polynomial
     Terms with a zero image go first; the top exponents then get the
     overflow check of `*` before any power is formed.
     """
-    terms, den, top = f._cleared or _cleared(f)
+    terms, den, top = f.nums, f.den, f._tops()
     used, bounds = [], [0] * target.arity
     for i, e in enumerate(top):
         if e:
             g = images[i]
             if g.ctx is not target and g.ctx != target:
                 raise ContextMismatchError("image lives in %r, not in %r" % (g.ctx, target))
-            if not g.terms:
-                return _apply_images(Polynomial._trusted(f.ctx, {
-                    m: c for m, c in f.terms.items() if not m[i]}), images, target)
-            gterms, d, gtop = g._cleared or _cleared(g)
+            if not g.nums:
+                return _apply_images(Polynomial._reduced(f.ctx, {
+                    m: c for m, c in terms.items() if not m[i]}, den), images, target)
+            gterms, d, gtop = g.nums, g.den, g._tops()
             bounds = [b + e * t for b, t in zip(bounds, gtop)]
             used.append((i, e, gterms, d, gtop))
     if max(bounds, default=0) > EXPONENT_LIMIT:  # the exact tops, term by term
@@ -644,7 +655,7 @@ def _apply_images(f: Polynomial, images: list, target: VarContext) -> Polynomial
             c *= n ** m[i] * d ** (e - m[i])
         leaves.append(([m[i] for i, _ in wide], sum([m[i] * k for i, k in keys]), c))
     powers = [{0: [(0, 1)], 1: packed} for _, packed in wide]
-    return Polynomial._trusted(target, _unpack(_horner(leaves, powers), fields, den))
+    return _unpack(target, _horner(leaves, powers), fields, den)
 
 
 def _horner(leaves: list, powers: list, depth: int = 0) -> dict:
@@ -670,19 +681,11 @@ def _horner(leaves: list, powers: list, depth: int = 0) -> dict:
     return acc
 
 
-def _cleared(f: Polynomial) -> tuple:
-    """(integer terms, den, top exponents) of f, made once and kept on f like its hash."""
-    den = lcm(*[c.denominator for c in f.terms.values()])
-    terms = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
-    f._cleared = (terms, den, _max_exponents(terms))
-    return f._cleared
-
-
 def _sum_of_products(ctx: VarContext, items) -> Polynomial:
     """sum of c * prod f_i^e_i over items (c, [(f_i, e_i), ...]), every f_i in ctx.
 
     The terms go into one integer accumulator over one common denominator.
-    Every factor is read in the cleared form it keeps (`_cleared`).  A
+    Every factor is read in its state, numerators over `den`.  A
     one-term factor scales the coefficient and shifts the monomial; any
     other is packed once per call into a power cache keyed by id, and
     `live` holds it so that no id is reused during the call.  A product
@@ -705,9 +708,9 @@ def _sum_of_products(ctx: VarContext, items) -> Polynomial:
                 continue
             if f.ctx is not ctx and f.ctx != ctx:
                 raise ContextMismatchError("factor lives in %r, not in %r" % (f.ctx, ctx))
-            if not f.terms:
+            if not f.nums:
                 break
-            terms, fd, ftop = f._cleared or _cleared(f)
+            terms, fd, ftop = f.nums, f.den, f._tops()
             if len(terms) == 1:
                 shift = [t + e * x for t, x in zip(shift, ftop)]
                 n, = terms.values()
@@ -718,7 +721,7 @@ def _sum_of_products(ctx: VarContext, items) -> Polynomial:
         else:
             top = shift
             for f, e in wide:
-                top = [t + e * x for t, x in zip(top, f._cleared[2])]
+                top = [t + e * x for t, x in zip(top, f._top)]
             if max(top, default=0) > EXPONENT_LIMIT:
                 _fields(top)  # raises the overflow error of `*`
             num, d = c.numerator, c.denominator
@@ -737,32 +740,32 @@ def _sum_of_products(ctx: VarContext, items) -> Polynomial:
         powers = []
         for f, e in wide:
             if id(f) not in packed:
-                packed[id(f)] = {0: [(0, 1)], 1: _pack(f._cleared[0], fields)}
+                packed[id(f)] = {0: [(0, 1)], 1: _pack(f.nums, fields)}
             powers.append(_power(packed[id(f)], e))
         powers.sort(key=len)
         head = powers.pop(0) if powers and not key else [(key, 1)]
         for p in powers[:-1]:
             head = _nonzero(_mul_into({}, head, p, 1))
         _mul_into(acc, head, powers[-1] if powers else [(0, 1)], num * (den // d))
-    return Polynomial._trusted(ctx, _unpack(acc, fields, den))
+    return _unpack(ctx, acc, fields, den)
 
 
 def _derive(f: Polynomial, images: list) -> Polynomial:
     """sum of g_i * df/dt_i over (i, g_i) in images, each g_i nonzero in f's context.
 
-    f and every g_i are read in their cleared forms F / den and G_i / d_i,
+    f and every g_i are read in their states F / den and G_i / d_i,
     and the terms go into one integer accumulator over den * lcm(d_i).
     Each partial is formed on f's packed terms: the unit of field i comes
     off the key and the coefficient is multiplied by the exponent.  The
     top exponents of each product, top(dF/dt_i) + top(G_i), get the
     overflow check of `*` before any product is formed.
     """
-    terms, den, top = f._cleared or _cleared(f)
+    terms, den, top = f.nums, f.den, f._tops()
     bounds, used, dens = top, [], 1
     for i, g in images:
         if not top or not top[i]:
             continue
-        gterms, d, gtop = g._cleared or _cleared(g)
+        gterms, d, gtop = g.nums, g.den, g._tops()
         b = list(map(add, top, gtop))
         b[i] -= 1
         if max(b) > EXPONENT_LIMIT:  # the exact tops of the partial
@@ -782,7 +785,7 @@ def _derive(f: Polynomial, images: list) -> Polynomial:
         unit = 1 << shift
         partial = [(k - unit, c * e) for k, c in packed if (e := (k >> shift) & mask)]
         _mul_into(acc, partial, _pack(gterms, fields), dens // d)
-    return Polynomial._trusted(f.ctx, _unpack(acc, fields, den * dens))
+    return _unpack(f.ctx, acc, fields, den * dens)
 
 
 def _nonzero(acc: dict) -> list:

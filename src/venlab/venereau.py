@@ -221,7 +221,8 @@ def family(name: str, n: int = None, Q=None, Q2=None, r=None, s=None) -> Venerea
 
 def _x_Q(sign: int, Q: Polynomial, x: Polynomial, v: Polynomial, w: Polynomial) -> list:
     """Items of sign * x * Q(x, v, w) for `_sum_of_products`, one per term of Q."""
-    return [(sign * q, [(x, a + 1), (v, b), (w, c)]) for (a, b, c), q in Q.terms.items()]
+    return [(Fraction(sign * q, Q.den), [(x, a + 1), (v, b), (w, c)])
+            for (a, b, c), q in Q.nums.items()]
 
 
 def _p_rhs(sign: int, x, y, v, w, r, s) -> list:
@@ -245,20 +246,16 @@ def check_residual(spec: VenereauSpec) -> CheckReport:
     One pass over h splits it as x q + h(0); the check passes iff h(0) = y,
     and then q = (h - y) / x.
     """
-    i = spec.ctx.index("x")
-    quotient, at_zero = {}, {}
-    for m, c in spec.h.terms.items():
-        if m[i]:
-            quotient[m[:i] + (m[i] - 1,) + m[i + 1:]] = c
-        else:
-            at_zero[m] = c
-    at_zero = Polynomial._trusted(spec.ctx, at_zero)
+    i, h = spec.ctx.index("x"), spec.h
+    quotient = {m[:i] + (m[i] - 1,) + m[i + 1:]: c for m, c in h.nums.items() if m[i]}
+    at_zero = Polynomial._reduced(spec.ctx, {m: c for m, c in h.nums.items() if not m[i]}, h.den)
     if at_zero != Polynomial.variable(spec.ctx, "y"):
         return CheckReport("residual", "fail", witnesses={
             "h_mod_x": format_polynomial(at_zero),
         })
     return CheckReport("residual", "pass", witnesses={
-        "quotient_of_h_minus_y_by_x": format_polynomial(Polynomial._trusted(spec.ctx, quotient)),
+        "quotient_of_h_minus_y_by_x": format_polynomial(
+            Polynomial._reduced(spec.ctx, quotient, h.den)),
     })
 
 
@@ -359,9 +356,9 @@ def check_jacobian(spec: VenereauSpec) -> CheckReport:
         det = jacobian_det([spec.h, spec.v, spec.w], ["y", "z", "u"])
     report = CheckReport("jacobian", "fail",
                          witnesses={"determinant": format_polynomial(det)})
-    if det.is_zero() or len(det.terms) != 1:
+    if len(det.nums) != 1:
         return report
-    mono, coeff = next(iter(det.terms.items()))
+    mono, coeff = det.leading_term()
     if any(e and name != "x" for name, e in zip(spec.ctx.names, mono)):
         return report
     m = mono[spec.ctx.index("x")]

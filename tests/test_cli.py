@@ -643,6 +643,24 @@ def test_lnd_stdout_bytes_are_pinned(capsys, tmp_path, command):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [
+    ("venereau", "verify", "--family", "venereau", "--n", "1"),
+    ("venereau", "verify", "--r", "x", "--s", "1", "--Q", "V + W"),
+    ("lnd", "kernel", "--derivation", "B.der", "--slice", TEMPLATE_B_SLICE),
+], ids=["v1", "generic", "lnd-kernel"])
+def test_cli_hot_paths_read_no_fraction_view(capsys, monkeypatch, tmp_path, argv):
+    """The commands the benchmark times run on the integer state alone: no
+    `Polynomial.terms` view is read, so none is built."""
+    (tmp_path / "B.der").write_text(TEMPLATE_B)
+    monkeypatch.chdir(tmp_path)
+    reads = []
+    view = Polynomial.terms
+    monkeypatch.setattr(Polynomial, "terms", property(lambda f: reads.append(f) or view.fget(f)))
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0 and out
+    assert reads == []
+
+
 def test_lnd_bad_slice_is_usage_error(capsys, dfile):
     code, _, err = run(capsys, "lnd", "dixmier",
                        "--derivation", dfile, "--slice", "z^2", "--f", "y")

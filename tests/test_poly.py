@@ -265,6 +265,31 @@ def test_packed_sort_keys_follow_the_order_oracle(text):
         assert f.leading_term(order) == (want[0], 1)
 
 
+@pytest.mark.parametrize("text", ORDERS + ("elim:7",))
+def test_sorted_terms_at_field_width_boundaries(text):
+    """sorted_terms keys on the order's forms alone, in fields sized by the
+    bit length w of the top degree; the monomials here have degree 2^w - 1
+    and 2^w, the last degree of one width and the first of the next."""
+    rng = random.Random(text)
+    order = MonomialOrder.parse(text)
+    cmp = _order_cmp(text)
+    for arity in (4, 6):
+        ctx = VarContext(["v%d" % i for i in range(arity)])
+        for w in range(1, 7):
+            monos = set()
+            for degree in (2**w - 1, 2**w, 2**w - 1, 2**w, rng.randint(0, 2**w)):
+                for _ in range(6):
+                    mono = [0] * arity
+                    for _ in range(degree):
+                        mono[rng.randrange(arity)] += 1
+                    monos.add(tuple(mono))
+            for top in (2**w - 1, 2**w):
+                f = Polynomial(ctx, {m: 1 for m in monos if sum(m) <= top})
+                want = sorted(f.terms, key=cmp_to_key(cmp), reverse=True)
+                assert [m for m, _ in f.sorted_terms(order)] == want, (arity, w, top)
+                assert f.leading_term(order)[0] == want[0]
+
+
 #: Coefficients with a unit, a negative sign, a denominator, or many digits.
 PRINT_COEFFS = (1, -1, 2, -7, Fraction(3, 4), Fraction(-5, 6), Fraction(1, 3),
                 Fraction(-1, 2), 10**20 + 1, Fraction(-(10**12), 7))
